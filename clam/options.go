@@ -87,6 +87,12 @@ func WithFlash(bytes int64) Option {
 // WithMemory sets M, the DRAM budget (total across shards), split per the
 // §6.4 tuning rules. Required unless WithBufferKB and
 // WithFilterBitsPerEntry are both given.
+//
+// M buys the buffers and k m-bit incarnation filters per super table.
+// Stats().Memory.Total() stays within M plus these allowances: the
+// buffer's own m-bit staging filter (m/8 bytes per super table), the
+// incarnation metadata, and, when k is not 8, 16, 32 or 64, the Bloom
+// bank's lane padding (its rows are 8, 16, 32 or 64 bits wide).
 func WithMemory(bytes int64) Option {
 	return func(c *config) error {
 		c.memoryBytes = bytes

@@ -1,24 +1,40 @@
-// Package bitslice implements the bit-sliced Bloom filter organization with
-// a sliding window described in §5.1.3 of the paper.
+// Package bitslice implements the bit-sliced Bloom filter bank of §5.1.3 of
+// the paper.
 //
 // A super table holds k incarnations plus the in-memory buffer, each with a
-// Bloom filter of m bits. Instead of storing k+1 separate filters, the bank
-// stores m *slices*: slice p concatenates bit p of every filter. A lookup
-// that probes h bit positions then retrieves h slices, ANDs them, and the
-// 1-bits of the result identify the incarnations that may contain the key —
-// h word operations instead of (k+1)·h bit probes.
+// Bloom filter of m bits. Instead of storing k separate incarnation filters,
+// the bank stores m *rows*: row p holds bit p of every incarnation filter. A
+// lookup that probes h bit positions then retrieves h rows, ANDs them, and
+// the 1-bits of the result identify the incarnations that may contain the
+// key — h word operations instead of k·h bit probes.
 //
-// Eviction uses the paper's sliding window: each slice carries w = 64 extra
-// bits; the live window of k+1 bits slides one position per incarnation
-// rotation, and stale bits are zeroed one whole machine word at a time when
-// the window crosses a word boundary, so eviction costs O(m/k) amortized
-// word writes instead of O(m) bit writes.
+// Layout:
 //
-// Window layout (positions are modulo the slice length L):
+//   - Rows. Each row is a ring of exactly k bits, held in a lane of the
+//     narrowest width (8, 16, 32 or 64 bits) that fits k; 64/lane rows are
+//     packed per uint64, so the bank costs lane·m bits (k·m at k = 8, 16,
+//     32 or 64). start names the ring position of the oldest incarnation;
+//     ring position (start+j) mod k holds window offset j (0 = oldest …
+//     k-1 = newest). Query ANDs the h lanes and ring-rotates the result
+//     once by start to return window offsets.
+//   - Staging. The buffer's filter is a separate m-bit bitmap (m/8 bytes),
+//     small enough to stay cache-resident; AddStaging and QueryStaging
+//     touch only it.
+//   - Rotate. One sequential pass writes staging bit p into bit start of
+//     row p, overwriting the evicted oldest incarnation's column, then
+//     clears the bitmap and advances start. That is m/(64/lane) word
+//     updates per flush.
 //
-//	[s, s+k)   bits of the k incarnations, oldest at s, newest at s+k-1
-//	s+k        bit of the current buffer (staging column)
-//	[s+k+1, L) free zone of ≥ 64 bits being recycled
+// A key's h probe positions are hashutil.DoubleHash's, generated in place
+// so that a query stops hashing at its first empty probe.
+//
+// What this keeps from §5.1.3: one word operation per hash function on a
+// query, and a sliding start instead of shifting rows on eviction. What it
+// changes: the staging filter lives outside the rows, so an insert sets h
+// bits of a small bitmap instead of writing h random rows; and eviction
+// is folded into the one transpose pass at Rotate instead of the paper's
+// lazy word-at-a-time clearing of a padded window, so no row carries
+// padding beyond its lane.
 package bitslice
 
 import (
@@ -28,17 +44,36 @@ import (
 	"repro/internal/hashutil"
 )
 
+// spread[w][x] places bit i of x at bit i·lane of a word, for lane width
+// 8<<w and x below 1<<(64/lane): the staging bits of one row word's lanes,
+// ready to shift into the ring position being overwritten.
+var spread = func() (t [4][256]uint64) {
+	for w := range t {
+		lane := 8 << w
+		for x := 0; x < 1<<(64/lane); x++ {
+			for i := 0; i < 64/lane; i++ {
+				if x>>i&1 != 0 {
+					t[w][x] |= 1 << (i * lane)
+				}
+			}
+		}
+	}
+	return t
+}()
+
 // Bank is a bit-sliced bank of k incarnation Bloom filters plus one staging
-// (buffer) filter. Not safe for concurrent use.
+// (buffer) filter. Query and QueryWith only read it and may run
+// concurrently with each other; every other call needs exclusive access.
 type Bank struct {
-	k        int    // incarnations per super table
-	h        int    // hash functions per filter
-	m        uint64 // bits per filter (number of slices)
-	sliceLen int    // L: bits per slice, multiple of 64, ≥ k+1+64
-	words    int    // words per slice
-	slices   []uint64
-	start    int // s: window start bit position
-	scratch  []uint64
+	k       int    // incarnations per super table (ring length)
+	h       int    // hash functions per filter
+	m       uint64 // bits per filter (number of rows)
+	laneLog uint   // log2 of the lane width in bits (3..6)
+	perLog  uint   // log2 of the lanes per row word (6 - laneLog)
+	kMask   uint64 // low k bits
+	rows    []uint64
+	staging []uint64 // m-bit staging filter
+	start   int      // ring position of the oldest incarnation
 }
 
 // NewBank creates a bank for k incarnations with m-bit filters and h hash
@@ -50,19 +85,18 @@ func NewBank(m uint64, k, h int) *Bank {
 	if m == 0 || h < 1 {
 		panic("bitslice: non-positive filter parameters")
 	}
-	// L = k+1 live bits plus a free zone of at least one word, rounded up
-	// to whole words.
-	L := (k + 1 + 64 + 63) / 64 * 64
-	b := &Bank{
-		k:        k,
-		h:        h,
-		m:        m,
-		sliceLen: L,
-		words:    L / 64,
-		slices:   make([]uint64, int(m)*(L/64)),
-		scratch:  make([]uint64, 0, h),
+	laneLog := uint(max(3, bits.Len(uint(k-1))))
+	perLog := 6 - laneLog
+	return &Bank{
+		k:       k,
+		h:       h,
+		m:       m,
+		laneLog: laneLog,
+		perLog:  perLog,
+		kMask:   ^uint64(0) >> (64 - k),
+		rows:    make([]uint64, (m+1<<perLog-1)>>perLog),
+		staging: make([]uint64, (m+63)/64),
 	}
-	return b
 }
 
 // K returns the number of incarnation columns.
@@ -74,59 +108,31 @@ func (b *Bank) Hashes() int { return b.h }
 // FilterBits returns m, the number of bits per filter.
 func (b *Bank) FilterBits() uint64 { return b.m }
 
-// MemoryBits returns the total memory consumed by the bank in bits
-// (including the sliding-window padding).
-func (b *Bank) MemoryBits() uint64 { return uint64(len(b.slices)) * 64 }
-
-// setBit sets bit `pos` of slice `row`.
-func (b *Bank) setBit(row uint64, pos int) {
-	idx := int(row)*b.words + pos/64
-	b.slices[idx] |= 1 << (pos % 64)
-}
-
-// getBit reads bit `pos` of slice `row`.
-func (b *Bank) getBit(row uint64, pos int) bool {
-	idx := int(row)*b.words + pos/64
-	return b.slices[idx]&(1<<(pos%64)) != 0
-}
+// MemoryBits returns the bits the bank allocates: the row words plus the
+// staging bitmap.
+func (b *Bank) MemoryBits() uint64 { return uint64(len(b.rows)+len(b.staging)) * 64 }
 
 // AddStaging adds a pre-hashed key to the staging (buffer) filter.
 func (b *Bank) AddStaging(keyHash uint64) {
-	pos := (b.start + b.k) % b.sliceLen
-	b.scratch = hashutil.DoubleHash(keyHash, b.h, b.m, b.scratch[:0])
-	for _, row := range b.scratch {
-		b.setBit(row, pos)
+	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
+	for i := 0; i < b.h; i++ {
+		p := hashutil.Reduce(h1, b.m)
+		b.staging[p>>6] |= 1 << (p & 63)
+		h1 += h2
 	}
 }
 
 // QueryStaging reports whether the staging filter may contain the key.
 func (b *Bank) QueryStaging(keyHash uint64) bool {
-	pos := (b.start + b.k) % b.sliceLen
-	b.scratch = hashutil.DoubleHash(keyHash, b.h, b.m, b.scratch[:0])
-	for _, row := range b.scratch {
-		if !b.getBit(row, pos) {
+	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
+	for i := 0; i < b.h; i++ {
+		p := hashutil.Reduce(h1, b.m)
+		if b.staging[p>>6]&(1<<(p&63)) == 0 {
 			return false
 		}
+		h1 += h2
 	}
 	return true
-}
-
-// window extracts the k incarnation bits [start, start+k) of slice row as a
-// uint64 with bit j = window offset j (j=0 oldest ... k-1 newest).
-func (b *Bank) window(row uint64) uint64 {
-	base := int(row) * b.words
-	s := b.start
-	w0 := b.slices[base+s/64]
-	v := w0 >> (s % 64)
-	if rem := 64 - s%64; rem < 64 && b.k > rem {
-		// The window continues into the next word (possibly wrapping).
-		next := (s/64 + 1) % b.words
-		v |= b.slices[base+next] << rem
-	}
-	if b.k == 64 {
-		return v
-	}
-	return v & (1<<b.k - 1)
 }
 
 // Query returns a bitmask over the k incarnation columns: bit j set means
@@ -134,47 +140,51 @@ func (b *Bank) window(row uint64) uint64 {
 // may contain the key. Columns that currently hold no incarnation are
 // all-zero and thus never match.
 func (b *Bank) Query(keyHash uint64) uint64 {
-	return b.QueryWith(keyHash, &b.scratch)
-}
-
-// QueryWith is Query against caller-owned hash scratch (grown in place and
-// reused across calls). The bank's slices are only read, so concurrent
-// QueryWith calls with distinct scratch are safe while no writer runs —
-// the property the parallel phase-A lanes of a batched lookup rely on;
-// Query itself uses the bank's own scratch and stays single-caller.
-func (b *Bank) QueryWith(keyHash uint64, scratch *[]uint64) uint64 {
-	rows := hashutil.DoubleHash(keyHash, b.h, b.m, (*scratch)[:0])
-	*scratch = rows
-	mask := ^uint64(0)
-	if b.k < 64 {
-		mask = 1<<b.k - 1
-	}
-	for _, row := range rows {
-		mask &= b.window(row)
-		if mask == 0 {
+	laneIdx := uint64(1)<<b.perLog - 1
+	v := b.kMask
+	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
+	for i := 0; i < b.h; i++ {
+		p := hashutil.Reduce(h1, b.m)
+		v &= b.rows[p>>b.perLog] >> ((p & laneIdx) << b.laneLog)
+		if v == 0 {
 			return 0
 		}
+		h1 += h2
 	}
-	return mask
+	// Ring position start+j holds window offset j.
+	return (v>>b.start | v<<(b.k-b.start)) & b.kMask
 }
 
-// Rotate slides the window one position: the staging column becomes the
-// newest incarnation, the oldest incarnation column falls out of the
-// window, and a fresh zeroed staging column takes its place.
-//
-// Per §5.1.3, stale bits are not cleared individually: when the window
-// start crosses a 64-bit word boundary, the vacated word of every slice is
-// reset with a single store.
+// QueryWith is Query. It keeps no per-call state, so scratch is left
+// untouched and concurrent Query/QueryWith calls are safe while no writer
+// runs — the property the parallel phase-A lanes of a batched lookup rely
+// on. The parameter keeps the signature callers that thread per-lane
+// scratch through a filter bank already use.
+func (b *Bank) QueryWith(keyHash uint64, _ *[]uint64) uint64 {
+	return b.Query(keyHash)
+}
+
+// Rotate makes the staging filter the newest incarnation column, in place
+// of the oldest, and starts a fresh empty staging filter.
 func (b *Bank) Rotate() {
-	b.start = (b.start + 1) % b.sliceLen
-	if b.start%64 != 0 {
-		return
+	sp := &spread[b.laneLog-3]
+	start := b.start
+	per := uint(1) << b.perLog          // lanes (rows) per row word
+	laneBits := uint8(uint(1)<<per - 1) // staging bits of one row word
+	col := sp[laneBits] << start        // bit start of every lane
+	chunk := 64 >> b.perLog             // row words per staging word
+	rows := b.rows
+	for _, sw := range b.staging {
+		n := min(len(rows), chunk)
+		for w := range rows[:n] {
+			rows[w] = rows[w]&^col | sp[uint8(sw)&laneBits]<<start
+			sw >>= per
+		}
+		rows = rows[n:]
 	}
-	// Clear the word the window just vacated; the window will not reach
-	// it again until it has wrapped past the ≥64-bit free zone.
-	vacated := (b.start/64 - 1 + b.words) % b.words
-	for row := 0; row < int(b.m); row++ {
-		b.slices[row*b.words+vacated] = 0
+	clear(b.staging)
+	if b.start++; b.start == b.k {
+		b.start = 0
 	}
 }
 

@@ -2,38 +2,69 @@ package bitslice
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
-	"repro/internal/bloom"
+	"repro/internal/hashutil"
 )
+
+// plainFilter is a Bloom filter bitset probed at positions hashed over
+// exactly m bits, as the bank hashes them (bloom.Filter rounds m up to
+// whole words, so it would probe other positions whenever m is not a
+// multiple of 64).
+type plainFilter []uint64
+
+func newPlain(m uint64) plainFilter { return make(plainFilter, (m+63)/64) }
+
+// holds reports whether every probe position ps is set.
+func (f plainFilter) holds(ps []uint64) bool {
+	for _, p := range ps {
+		if f[p>>6]&(1<<(p&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // naiveBank is the straightforward implementation the bit-sliced bank must
 // be equivalent to: k+1 separate Bloom filters rotated on eviction.
 type naiveBank struct {
 	k       int
-	filters []*bloom.Filter // len k, oldest first; nil = empty column
-	staging *bloom.Filter
+	filters []plainFilter // len k, oldest first; nil = empty column
+	staging plainFilter
 	m       uint64
 	h       int
+	ps      []uint64 // probe positions of the last key hashed
 }
 
 func newNaive(m uint64, k, h int) *naiveBank {
-	return &naiveBank{k: k, filters: make([]*bloom.Filter, k), staging: bloom.New(m, h), m: m, h: h}
+	return &naiveBank{k: k, filters: make([]plainFilter, k), staging: newPlain(m), m: m, h: h}
 }
 
-func (n *naiveBank) AddStaging(kh uint64)        { n.staging.Add(kh) }
-func (n *naiveBank) QueryStaging(kh uint64) bool { return n.staging.MayContain(kh) }
+func (n *naiveBank) probes(kh uint64) []uint64 {
+	n.ps = hashutil.DoubleHash(kh, n.h, n.m, n.ps[:0])
+	return n.ps
+}
+
+func (n *naiveBank) AddStaging(kh uint64) {
+	for _, p := range n.probes(kh) {
+		n.staging[p>>6] |= 1 << (p & 63)
+	}
+}
+
+func (n *naiveBank) QueryStaging(kh uint64) bool { return n.staging.holds(n.probes(kh)) }
 
 func (n *naiveBank) Rotate() {
 	copy(n.filters, n.filters[1:])
 	n.filters[n.k-1] = n.staging
-	n.staging = bloom.New(n.m, n.h)
+	n.staging = newPlain(n.m)
 }
 
 func (n *naiveBank) Query(kh uint64) uint64 {
+	ps := n.probes(kh)
 	var mask uint64
 	for j, f := range n.filters {
-		if f != nil && f.MayContain(kh) {
+		if f != nil && f.holds(ps) {
 			mask |= 1 << j
 		}
 	}
@@ -43,48 +74,129 @@ func (n *naiveBank) Query(kh uint64) uint64 {
 func TestEquivalenceWithNaiveBank(t *testing.T) {
 	// Property: under an arbitrary interleaving of inserts and rotations,
 	// the bit-sliced bank answers every query identically to k+1 plain
-	// Bloom filters.
-	const (
-		m = 1 << 10
-		k = 16
-		h = 4
-	)
-	for seed := int64(0); seed < 5; seed++ {
-		bank := NewBank(m, k, h)
-		ref := newNaive(m, k, h)
-		rng := rand.New(rand.NewSource(seed))
-		var keys []uint64
-		for step := 0; step < 3000; step++ {
-			switch rng.Intn(10) {
-			case 0: // rotate (evict oldest, flush staging)
-				bank.Rotate()
-				ref.Rotate()
-			default:
-				kh := rng.Uint64()
-				keys = append(keys, kh)
-				bank.AddStaging(kh)
-				ref.AddStaging(kh)
-			}
-			// Check a recent key, a random key, and an old key.
-			probes := []uint64{rng.Uint64()}
-			if len(keys) > 0 {
-				probes = append(probes, keys[len(keys)-1], keys[rng.Intn(len(keys))])
-			}
-			for _, p := range probes {
-				if got, want := bank.Query(p), ref.Query(p); got != want {
-					t.Fatalf("seed %d step %d: Query(%#x) = %#x, want %#x", seed, step, p, got, want)
+	// Bloom filters. The k values straddle every lane width (8/16/32/64);
+	// the m values cover a power of two, non-powers of two (the fastrange
+	// reduction) and sizes that leave a partial staging and row word.
+	// Each run rotates more than 3k times, so the ring wraps repeatedly.
+	ks := []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64}
+	ms := []uint64{1 << 10, 1000, 65521, 196608}
+	const h = 4
+	for _, m := range ms {
+		for _, k := range ks {
+			bank := NewBank(m, k, h)
+			ref := newNaive(m, k, h)
+			rng := rand.New(rand.NewSource(int64(m)*131 + int64(k)))
+			var keys []uint64
+			var qs []uint64
+			check := func(step int) {
+				probes := []uint64{rng.Uint64()}
+				if len(keys) > 0 {
+					probes = append(probes, keys[len(keys)-1], keys[rng.Intn(len(keys))])
 				}
-				if got, want := bank.QueryStaging(p), ref.QueryStaging(p); got != want {
-					t.Fatalf("seed %d step %d: QueryStaging(%#x) = %v, want %v", seed, step, p, got, want)
+				for _, p := range probes {
+					want := ref.Query(p)
+					if got := bank.Query(p); got != want {
+						t.Fatalf("m=%d k=%d step %d: Query(%#x) = %#x, want %#x", m, k, step, p, got, want)
+					}
+					if got := bank.QueryWith(p, &qs); got != want {
+						t.Fatalf("m=%d k=%d step %d: QueryWith(%#x) = %#x, want %#x", m, k, step, p, got, want)
+					}
+					if got, want := bank.QueryStaging(p), ref.QueryStaging(p); got != want {
+						t.Fatalf("m=%d k=%d step %d: QueryStaging(%#x) = %v, want %v", m, k, step, p, got, want)
+					}
 				}
+			}
+			for step, rotations := 0, 0; rotations <= 3*k+2; step++ {
+				if rng.Intn(8) == 0 { // rotate (evict oldest, flush staging)
+					bank.Rotate()
+					ref.Rotate()
+					rotations++
+				} else {
+					kh := rng.Uint64()
+					keys = append(keys, kh)
+					bank.AddStaging(kh)
+					ref.AddStaging(kh)
+				}
+				check(step)
 			}
 		}
 	}
 }
 
+func TestConcurrentQueryWithMatchesSerial(t *testing.T) {
+	// Readers with their own scratch on a frozen bank must see exactly the
+	// serial answers: QueryWith writes nothing the bank owns.
+	const (
+		m       = 196608
+		k       = 16
+		h       = 33
+		readers = 4
+	)
+	bank := NewBank(m, k, h)
+	rng := rand.New(rand.NewSource(3))
+	var probes []uint64
+	for r := 0; r < k+3; r++ {
+		for i := 0; i < 2048; i++ {
+			kh := rng.Uint64()
+			bank.AddStaging(kh)
+			if i%4 == 0 {
+				probes = append(probes, kh)
+			}
+		}
+		bank.Rotate()
+	}
+	for i := 0; i < 1024; i++ {
+		probes = append(probes, rng.Uint64())
+	}
+	want := make([]uint64, len(probes))
+	for i, p := range probes {
+		want[i] = bank.Query(p)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var qs []uint64
+			for i := range probes {
+				j := (i + g*len(probes)/readers) % len(probes)
+				if got := bank.QueryWith(probes[j], &qs); got != want[j] {
+					t.Errorf("reader %d: QueryWith(%#x) = %#x, want %#x", g, probes[j], got, want[j])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func TestMemoryBitsIsLanesPlusStaging(t *testing.T) {
+	// Rows take the narrowest 8/16/32/64-bit lane that fits k; the staging
+	// bitmap takes m bits, both rounded up to whole words.
+	for _, tc := range []struct {
+		m    uint64
+		k    int
+		want uint64
+	}{
+		{196608, 16, 196608*16 + 196608},
+		{1 << 10, 1, 1024*8 + 1024},
+		{1 << 10, 8, 1024*8 + 1024},
+		{1 << 10, 9, 1024*16 + 1024},
+		{1 << 10, 17, 1024*32 + 1024},
+		{1 << 10, 33, 1024*64 + 1024},
+		{1000, 16, 1000*16 + 1024},
+		{1001, 16, 1004*16 + 1024},
+		{65521, 64, 65521*64 + 65536},
+	} {
+		if got := NewBank(tc.m, tc.k, 4).MemoryBits(); got != tc.want {
+			t.Errorf("MemoryBits(m=%d, k=%d) = %d, want %d", tc.m, tc.k, got, tc.want)
+		}
+	}
+}
+
 func TestLongRotationWrapsWindow(t *testing.T) {
-	// Rotate far more times than the slice length to exercise wrap-around
-	// and the word-batched clearing, verifying equivalence throughout.
+	// Rotate far more times than the ring length to exercise wrap-around
+	// of the oldest-column start, verifying equivalence throughout.
 	const (
 		m = 256
 		k = 16
@@ -283,3 +395,53 @@ func BenchmarkBankQueryFastrange(b *testing.B) {
 		bank.Query(uint64(i) * 0x9e3779b97f4a7c15)
 	}
 }
+
+// The benchmarks below use the geometry every perfbench workload ships
+// with: k = 16 incarnations, 48 filter bits per entry over a 4096-entry
+// buffer (m = 196608) and h = 33 hash functions.
+const (
+	shippedM      = 196608
+	shippedK      = 16
+	shippedH      = 33
+	shippedPerBuf = 4096
+)
+
+// BenchmarkBankAddRotate is the write side: one staging add per key, and a
+// rotation (the transpose pass) each time a buffer's worth has been added.
+// ns/op is per key, the rotation amortized.
+func BenchmarkBankAddRotate(b *testing.B) {
+	bank := NewBank(shippedM, shippedK, shippedH)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank.AddStaging(uint64(i) * 0x9e3779b97f4a7c15)
+		if (i+1)%shippedPerBuf == 0 {
+			bank.Rotate()
+		}
+	}
+}
+
+// BenchmarkBankQueryShipped queries a full bank at the shipped geometry;
+// two in five probes are keys the bank holds, the rest never added.
+func BenchmarkBankQueryShipped(b *testing.B) {
+	bank := NewBank(shippedM, shippedK, shippedH)
+	rng := rand.New(rand.NewSource(1))
+	held := make([]uint64, 0, shippedK*shippedPerBuf)
+	for r := 0; r < shippedK; r++ {
+		for i := 0; i < shippedPerBuf; i++ {
+			kh := rng.Uint64()
+			held = append(held, kh)
+			bank.AddStaging(kh)
+		}
+		bank.Rotate()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kh := uint64(i) * 0x9e3779b97f4a7c15
+		if i%5 < 2 {
+			kh = held[(i*7919)%len(held)]
+		}
+		sinkMask |= bank.Query(kh)
+	}
+}
+
+var sinkMask uint64

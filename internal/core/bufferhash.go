@@ -383,7 +383,7 @@ func (b *BufferHash) Len() int {
 // component (used to validate the §6.4 memory budget).
 type MemoryFootprint struct {
 	BufferBytes     int64 // all cuckoo buffers
-	BloomBytes      int64 // all filter banks (incl. sliding-window padding)
+	BloomBytes      int64 // all filter banks: incarnation rows plus staging filters
 	DeleteListBytes int64 // approximate
 	MetadataBytes   int64 // incarnation bookkeeping
 }
