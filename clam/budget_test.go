@@ -38,9 +38,10 @@ func TestMemoryFootprintWithinBudget(t *testing.T) {
 	// The DRAM WithMemory promises: BloomBytes is exactly what the banks
 	// allocate, and the whole footprint stays within the budget plus the
 	// allowances its doc comment names — one m-bit staging bitmap per
-	// super table, the incarnation metadata, and lane padding when k is not
-	// 8, 16, 32 or 64. The grid derives k = 16 (most cases), k = 12 and
-	// k = 10 (lane padding), and k = 4 with the filter bits capped.
+	// super table and the incarnation metadata. Lane padding gets no
+	// allowance: m is sized from the lane width. The grid derives k = 16
+	// (most cases), k = 12 and k = 10 (lanes padded beyond k), and k = 4
+	// with the filter bits capped.
 	const mib = 1 << 20
 	for _, dev := range []DeviceKind{IntelSSD, FlashChip, MagneticDisk} {
 		for _, shards := range []int{1, 8} {
@@ -76,9 +77,9 @@ func TestMemoryFootprintWithinBudget(t *testing.T) {
 					if mem.BloomBytes != rows+staging {
 						t.Fatalf("BloomBytes = %d, want rows %d + staging %d", mem.BloomBytes, rows, staging)
 					}
-					if limit := memory + staging + mem.MetadataBytes + pad; mem.Total() > limit {
-						t.Fatalf("footprint %d > budget %d + staging %d + metadata %d + lane padding %d (buffers %d, rows %d)",
-							mem.Total(), memory, staging, mem.MetadataBytes, pad, mem.BufferBytes, rows)
+					if limit := memory + staging + mem.MetadataBytes; mem.Total() > limit {
+						t.Fatalf("footprint %d > budget %d + staging %d + metadata %d (buffers %d, rows %d, of which lane padding %d)",
+							mem.Total(), memory, staging, mem.MetadataBytes, mem.BufferBytes, rows, pad)
 					}
 				})
 			}

@@ -96,6 +96,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bitslice"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/metrics"
@@ -289,7 +290,14 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 					"clam: memory budget %d leaves no room for Bloom filters after %d of buffers",
 					cfg.memoryBytes, nt*int64(bufBytes))
 			}
-			entries := nt * int64(k) * int64(bufBytes/32) // n′ per incarnation × all
+			// Each of a filter's m bits costs one bit per incarnation: a
+			// row of k bits, held in a lane of bitslice.LaneBits(k) bits
+			// in the bit-sliced bank.
+			rowBits := int64(k)
+			if !cfg.disableBitslice {
+				rowBits = int64(bitslice.LaneBits(k))
+			}
+			entries := nt * rowBits * int64(bufBytes/32) // n′ × row bits, all tables
 			fbe = int(bloomBytes * 8 / entries)
 			if fbe < 1 {
 				fbe = 1

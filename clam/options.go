@@ -88,11 +88,12 @@ func WithFlash(bytes int64) Option {
 // §6.4 tuning rules. Required unless WithBufferKB and
 // WithFilterBitsPerEntry are both given.
 //
-// M buys the buffers and k m-bit incarnation filters per super table.
-// Stats().Memory.Total() stays within M plus these allowances: the
-// buffer's own m-bit staging filter (m/8 bytes per super table), the
-// incarnation metadata, and, when k is not 8, 16, 32 or 64, the Bloom
-// bank's lane padding (its rows are 8, 16, 32 or 64 bits wide).
+// M buys the buffers and the m rows of each super table's Bloom bank, one
+// bit per incarnation per row. The rows are 8, 16, 32 or 64 bits wide, the
+// narrowest lane that holds k bits, and m is sized from that width, so
+// the rows fit M at every k. Stats().Memory.Total() stays within M plus
+// two allowances: the buffer's own m-bit staging filter (m/8 bytes per
+// super table) and the incarnation metadata.
 func WithMemory(bytes int64) Option {
 	return func(c *config) error {
 		c.memoryBytes = bytes

@@ -85,7 +85,7 @@ func NewBank(m uint64, k, h int) *Bank {
 	if m == 0 || h < 1 {
 		panic("bitslice: non-positive filter parameters")
 	}
-	laneLog := uint(max(3, bits.Len(uint(k-1))))
+	laneLog := uint(bits.TrailingZeros(uint(LaneBits(k))))
 	perLog := 6 - laneLog
 	return &Bank{
 		k:       k,
@@ -98,6 +98,11 @@ func NewBank(m uint64, k, h int) *Bank {
 		staging: make([]uint64, (m+63)/64),
 	}
 }
+
+// LaneBits returns the width of the lane that holds one row of a bank for
+// k incarnations: the narrowest of 8, 16, 32 and 64 bits that fits k. The
+// rows of an m-bit bank cost LaneBits(k)·m bits.
+func LaneBits(k int) int { return 1 << max(3, bits.Len(uint(k-1))) }
 
 // K returns the number of incarnation columns.
 func (b *Bank) K() int { return b.k }

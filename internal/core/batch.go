@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -223,7 +224,7 @@ func (b *BufferHash) lookupPhaseASerial(keys []uint64, results []LookupResult) {
 		clear(bs.memo)
 		bs.epoch = 1
 	}
-	b.lookupMemRange(keys, results, 0, len(keys), bs.memo, bs.epoch, &bs.pending, &b.stats, nil)
+	b.lookupMemRange(keys, results, 0, len(keys), bs.memo, bs.epoch, &bs.pending, &b.stats, &b.cpuDebt)
 }
 
 // lookupPhaseALanes is the parallel memory-resolution phase: contiguous
@@ -233,7 +234,8 @@ func (b *BufferHash) lookupPhaseASerial(keys []uint64, results []LookupResult) {
 // charges because phase A performs no mutation (the invariant the serial
 // memo replay itself relies on). The drain that follows merges the lanes'
 // pending lists in lane order — exactly the input order a serial pass
-// would have produced — and their counters, which are pure sums.
+// would have produced — and their counters and CPU-debt sums, which are
+// pure sums.
 func (b *BufferHash) lookupPhaseALanes(keys []uint64, results []LookupResult, lanes int) {
 	bs := &b.batch
 	for i := 0; i < lanes; i++ {
@@ -242,13 +244,14 @@ func (b *BufferHash) lookupPhaseALanes(keys []uint64, results []LookupResult, la
 	b.parRun(lanes, func(li int) {
 		ln := b.lanes[li]
 		ln.pending = ln.pending[:0]
+		ln.debt = 0
 		ln.epoch++
 		if ln.epoch == 0 { // wrapped: stale entries could look current
 			clear(ln.memo)
 			ln.epoch = 1
 		}
 		lo, hi := laneRange(len(keys), lanes, li)
-		b.lookupMemRange(keys, results, lo, hi, ln.memo, ln.epoch, &ln.pending, &ln.stats, &ln.qs)
+		b.lookupMemRange(keys, results, lo, hi, ln.memo, ln.epoch, &ln.pending, &ln.stats, &ln.debt)
 	})
 	// Sequenced drain: lane order = input order (contiguous sub-ranges).
 	for i := 0; i < lanes; i++ {
@@ -256,30 +259,29 @@ func (b *BufferHash) lookupPhaseALanes(keys []uint64, results []LookupResult, la
 		bs.pending = append(bs.pending, ln.pending...)
 		b.stats.Merge(ln.stats)
 		ln.stats = Stats{}
+		b.cpuDebt += ln.debt
 	}
 }
 
 // lookupMemRange resolves keys[lo:hi] against DRAM state: duplicates replay
 // from the direct-mapped memo, fresh keys run lookupMem, keys resolved
 // without I/O are recorded into stats, unresolved ones appended to pending
-// with their candidate masks. It mutates only the caller-owned
-// memo/pending/stats/qs — plus the atomic CPU accumulator — so disjoint
-// ranges with disjoint scratch may run concurrently (qs is the lane's
-// Bloom-query scratch; nil selects the banks' internal scratch, legal only
-// single-caller).
-func (b *BufferHash) lookupMemRange(keys []uint64, results []LookupResult, lo, hi int, memo []memoEntry, epoch uint32, pending *[]batchKey, stats *Stats, qs *[]uint64) {
+// with their candidate masks. CPU costs are summed into *debt. It mutates
+// only the caller-owned memo/pending/stats/debt, so disjoint ranges with
+// disjoint scratch may run concurrently.
+func (b *BufferHash) lookupMemRange(keys []uint64, results []LookupResult, lo, hi int, memo []memoEntry, epoch uint32, pending *[]batchKey, stats *Stats, debt *time.Duration) {
 	cfg := &b.cfg
 	for i := lo; i < hi; i++ {
 		key := keys[i]
 		slot := &memo[key&(memoSlots-1)]
 		if slot.epoch == epoch && slot.key == key {
 			// Duplicate: replay the outcome, charge what lookupMem would.
-			b.chargeCPU(cfg.CPU.BufferLookup)
+			addCPU(debt, cfg.CPU.BufferLookup)
 			if !slot.done && !cfg.DisableBloom {
 				if cfg.DisableBitslice {
-					b.chargeCPU(cfg.CPU.BloomQueryNaive)
+					addCPU(debt, cfg.CPU.BloomQueryNaive)
 				} else {
-					b.chargeCPU(cfg.CPU.BloomQuery)
+					addCPU(debt, cfg.CPU.BloomQuery)
 				}
 			}
 			results[i] = slot.res
@@ -292,7 +294,7 @@ func (b *BufferHash) lookupMemRange(keys []uint64, results []LookupResult, lo, h
 			continue
 		}
 		st, kh := b.route(key)
-		res, mask, done := st.lookupMemWith(kh, qs)
+		res, mask, done := st.lookupMem(kh, debt)
 		*slot = memoEntry{key: key, epoch: epoch, done: done, mask: mask, res: res}
 		results[i] = res
 		if !done && mask != 0 {

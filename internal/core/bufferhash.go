@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitslice"
@@ -55,12 +54,17 @@ type BufferHash struct {
 	deferWrites bool
 	staged      []stagedWrite
 
-	// deferCPU batches chargeCPU calls into cpuDebt (see LookupBatch).
-	// cpuDebt is atomic — the "deferred-clock accumulator" — because a
-	// parallel phase A charges it from several lanes at once; the serial
-	// paths pay an uncontended atomic add for the same code.
+	// deferCPU batches chargeCPU calls into cpuDebt, which the batched
+	// pipelines land on the clock in one advance (settleCPUDebt). cpuDebt
+	// is a plain field: only the goroutine running the batch touches it. A
+	// parallel phase A's lanes each sum their charges privately
+	// (phaseLane.debt), and the sequenced drain adds those sums in lane
+	// order, so no per-key path pays an atomic read-modify-write.
 	deferCPU bool
-	cpuDebt  atomic.Int64
+	cpuDebt  time.Duration
+
+	// routeSeed is Mix64(cfg.Seed), the seed half of routeHash, mixed once.
+	routeSeed uint64
 
 	// Phase-A partitioner state (see phasea.go): an optional runner that
 	// spreads a batch's memory-resolution phase over cooperating workers,
@@ -86,6 +90,7 @@ func New(cfg Config) (*BufferHash, error) {
 		cfg:       cfg,
 		layout:    cfg.layout(),
 		imageSize: cfg.BufferBytes,
+		routeSeed: hashutil.Mix64(cfg.Seed),
 	}
 	nt := cfg.NumSuperTables()
 	b.params = make([]cuckoo.Params, nt)
@@ -196,26 +201,33 @@ func (b *BufferHash) flushStaged() error {
 }
 
 // chargeCPU advances the virtual clock by a CPU cost. During a batched
-// pipeline's memory phase the charges accrue into one deferred advance
-// (same virtual total, far fewer clock advances). The accumulator is
-// atomic so a parallel phase A's lanes can charge concurrently; addition
-// commutes, so the settled total is byte-identical to the serial order.
+// pipeline the charges accrue into cpuDebt instead and land in one deferred
+// advance: the same virtual total, far fewer clock advances.
 func (b *BufferHash) chargeCPU(d time.Duration) {
-	if d <= 0 {
-		return
-	}
 	if b.deferCPU {
-		b.cpuDebt.Add(int64(d))
+		addCPU(&b.cpuDebt, d)
 		return
 	}
-	b.cfg.Clock.Advance(d)
+	if d > 0 {
+		b.cfg.Clock.Advance(d)
+	}
+}
+
+// addCPU accrues a CPU cost into a deferred sum. Like chargeCPU it ignores
+// non-positive costs, so a sum settles to exactly what charging each cost
+// on its own would have advanced the clock by.
+func addCPU(debt *time.Duration, d time.Duration) {
+	if d > 0 {
+		*debt += d
+	}
 }
 
 // settleCPUDebt lands the accumulated deferred CPU charges on the clock in
 // one advance (the batched pipelines' phase-C closing step).
 func (b *BufferHash) settleCPUDebt() {
-	if d := b.cpuDebt.Swap(0); d > 0 {
-		b.cfg.Clock.Advance(time.Duration(d))
+	if d := b.cpuDebt; d > 0 {
+		b.cpuDebt = 0
+		b.cfg.Clock.Advance(d)
 	}
 }
 
@@ -225,7 +237,7 @@ func (b *BufferHash) settleCPUDebt() {
 // (§5.2), normalized to be non-zero for the cuckoo tables. Being a pure
 // bijection, it is safe to precompute from parallel phase-A lanes.
 func (b *BufferHash) routeHash(key uint64) (part int, kh uint64) {
-	h := hashutil.Mix64(key ^ hashutil.Mix64(b.cfg.Seed))
+	h := hashutil.Mix64(key ^ b.routeSeed)
 	p, rest := hashutil.Split(h, b.cfg.PartitionBits)
 	if rest == 0 {
 		rest = 1
@@ -291,9 +303,7 @@ func (b *BufferHash) Flush() error {
 // that can hold kh within an incarnation of st (§5.1.1). Both the serial
 // and batched lookup paths compute probe targets through here.
 func (b *BufferHash) probeAddr(st *superTable, inc incarnation, kh uint64) (addr int64, n int) {
-	params := b.params[st.idx]
-	page := params.PageIndex(kh)
-	off, n := params.PageByteRange(page)
+	off, n := b.params[st.idx].PageByteRange(st.buf.PageIndex(kh))
 	return inc.addr + int64(off), n
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // Phase-A partitioning: the intra-batch parallelism seam of the batched
 // pipelines.
@@ -18,15 +21,15 @@ import "sync"
 //     fresh goroutines (GoRunner), or on a cooperating caller's idle
 //     workers (the clam batch router's co-scheduling).
 //   - Each lane owns private scratch (memo table, pending work list, local
-//     counters), so the sub-ranges synchronize by disjointness — striping
-//     by sub-range instead of locking shared structures. The one shared
-//     accumulator, the deferred CPU charge, is atomic (see
-//     BufferHash.chargeCPU).
-//   - The drain that follows (phases B/C) is single-sequenced: it settles
-//     the CPU debt in one clock advance, merges the lanes' counters (pure
-//     sums, so order cannot matter) and concatenates their work lists in
-//     lane order, which — lanes being contiguous input sub-ranges — is
-//     exactly the input order the serial phase A would have produced.
+//     counters, CPU-debt sum), so the sub-ranges synchronize by
+//     disjointness — striping by sub-range instead of locking or atomically
+//     updating shared structures.
+//   - The drain that follows (phases B/C) is single-sequenced: it adds the
+//     lanes' CPU-debt sums and counters in lane order (pure sums, so the
+//     totals equal the serial pass's), settles the debt in one clock
+//     advance, and concatenates the lanes' work lists in lane order, which
+//     — lanes being contiguous input sub-ranges — is exactly the input
+//     order the serial phase A would have produced.
 //
 // The contract that makes this exact rather than approximate: phase A of a
 // lookup batch performs no mutation, and its per-key outcome is a pure
@@ -73,7 +76,7 @@ type phaseLane struct {
 	epoch   uint32
 	pending []batchKey
 	stats   Stats
-	qs      []uint64 // Bloom-query hash scratch (filterBank.QueryWith)
+	debt    time.Duration // deferred CPU charges of the lane's sub-range
 }
 
 // minLaneKeys is the smallest sub-range worth a lane: below this the

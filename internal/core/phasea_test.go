@@ -181,3 +181,91 @@ func TestParallelInsertBatchMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelWidthsKeepClockAndStats pins the lane-local CPU debt: lookup
+// and insert batches whose duplicates straddle lanes must leave the virtual
+// clock, every counter and every result exactly where the serial phase A
+// leaves them, after every batch and at every width.
+func TestParallelWidthsKeepClockAndStats(t *testing.T) {
+	type run struct {
+		b     *BufferHash
+		width int
+	}
+	var runs []run
+	for _, width := range []int{1, 2, 4} {
+		cfg, _ := testConfig(t)
+		b := mustNew(t, cfg)
+		b.SetParallel(width, GoRunner)
+		runs = append(runs, run{b, width})
+	}
+
+	rng := rand.New(rand.NewSource(8080))
+	universe := make([]uint64, 100000) // thrice the flash capacity: evictions
+	for i := range universe {
+		universe[i] = rng.Uint64()
+	}
+	hot := universe[:8] // drawn all over each batch: duplicates in every lane
+	draw := func() uint64 {
+		switch rng.Intn(5) {
+		case 0:
+			return hot[rng.Intn(len(hot))]
+		case 1:
+			return rng.Uint64() // almost surely never written
+		default:
+			return universe[rng.Intn(len(universe))]
+		}
+	}
+
+	const batch = 1024
+	keys := make([]uint64, batch)
+	vals := make([]uint64, batch)
+	results := make([][]LookupResult, len(runs))
+	for i := range results {
+		results[i] = make([]LookupResult, batch)
+	}
+	lookups := 0
+	for round := 0; round < 150; round++ {
+		lookup := round%3 == 2
+		for i := range keys {
+			keys[i] = draw()
+			vals[i] = uint64(round*batch + i)
+		}
+		for ri, r := range runs {
+			var err error
+			switch {
+			case lookup:
+				err = r.b.LookupBatch(keys, results[ri])
+			case round%10 == 9:
+				err = r.b.DeleteBatch(keys[:batch/8])
+			default:
+				err = r.b.InsertBatch(keys, vals)
+			}
+			if err != nil {
+				t.Fatalf("width %d round %d: %v", r.width, round, err)
+			}
+		}
+		if lookup {
+			lookups++
+		}
+		want, wantStats := runs[0].b.cfg.Clock.Now(), runs[0].b.Stats()
+		for ri, r := range runs[1:] {
+			if got := r.b.cfg.Clock.Now(); got != want {
+				t.Fatalf("round %d: width %d clock %v, serial %v", round, r.width, got, want)
+			}
+			if got := r.b.Stats(); got != wantStats {
+				t.Fatalf("round %d: width %d counters diverge:\nserial   %+v\nparallel %+v", round, r.width, wantStats, got)
+			}
+			if lookup {
+				for i := range keys {
+					if results[ri+1][i] != results[0][i] {
+						t.Fatalf("round %d key %d: width %d %+v, serial %+v", round, i, r.width, results[ri+1][i], results[0][i])
+					}
+				}
+			}
+		}
+	}
+	st := runs[0].b.Stats()
+	if st.Evictions == 0 || st.FlashProbes == 0 || st.Hits == 0 || lookups == 0 {
+		t.Fatalf("degenerate stream (evictions=%d probes=%d hits=%d); retune the test", st.Evictions, st.FlashProbes, st.Hits)
+	}
+}

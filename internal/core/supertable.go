@@ -98,25 +98,20 @@ func (st *superTable) evictOldestExternal(seq uint64) {
 }
 
 // lookupMem is the in-memory phase of a lookup (phase A of the pipeline):
-// every step that needs no flash I/O. It charges the CPU costs, consults
-// the delete list, the buffer and the Bloom bank, and returns the
+// every step that needs no flash I/O. It consults the delete list, the
+// buffer and the Bloom bank, adds its CPU costs to *debt, and returns the
 // candidate-incarnation mask for the flash phase (bit j set = window offset
 // j may hold the key). done reports the lookup resolved without I/O; a zero
 // mask with done == false is a clean miss (Bloom filters excluded every
 // incarnation). Serial lookups and LookupBatch share this path exactly, so
 // CPU charges and Bloom behaviour cannot drift apart.
-func (st *superTable) lookupMem(kh uint64) (res LookupResult, mask uint64, done bool) {
-	return st.lookupMemWith(kh, nil)
-}
-
-// lookupMemWith is lookupMem with caller-owned Bloom-query scratch: every
-// step is a pure read of the super table (delete list, buffer, filter
-// bank), so parallel phase-A lanes may run it concurrently on one table as
-// long as each lane passes its own scratch. qs == nil uses the bank's
-// internal scratch (the single-caller serial path).
-func (st *superTable) lookupMemWith(kh uint64, qs *[]uint64) (res LookupResult, mask uint64, done bool) {
+//
+// Every step is a pure read of the super table and both filter banks'
+// queries are read-only, so parallel phase-A lanes may run it concurrently
+// on one table as long as each lane sums into its own debt.
+func (st *superTable) lookupMem(kh uint64, debt *time.Duration) (res LookupResult, mask uint64, done bool) {
 	cfg := &st.owner.cfg
-	st.owner.chargeCPU(cfg.CPU.BufferLookup)
+	addCPU(debt, cfg.CPU.BufferLookup)
 
 	if _, deleted := st.deleteList[kh]; deleted {
 		return res, 0, true
@@ -132,12 +127,9 @@ func (st *superTable) lookupMemWith(kh uint64, qs *[]uint64) (res LookupResult, 
 		return res, valid, false
 	}
 	if cfg.DisableBitslice {
-		st.owner.chargeCPU(cfg.CPU.BloomQueryNaive)
+		addCPU(debt, cfg.CPU.BloomQueryNaive)
 	} else {
-		st.owner.chargeCPU(cfg.CPU.BloomQuery)
-	}
-	if qs != nil {
-		return res, st.bank.QueryWith(kh, qs) & valid, false
+		addCPU(debt, cfg.CPU.BloomQuery)
 	}
 	return res, st.bank.Query(kh) & valid, false
 }
@@ -149,7 +141,7 @@ func (st *superTable) lookupMemWith(kh uint64, qs *[]uint64) (res LookupResult, 
 func (st *superTable) resolveProbe(res *LookupResult, pageImage []byte, kh uint64) bool {
 	st.owner.stats.FlashProbes++
 	res.FlashReads++
-	v, ok := st.owner.tableParams(st.idx).LookupInPage(pageImage, kh)
+	v, ok := st.buf.LookupInPage(pageImage, kh)
 	if !ok {
 		res.Spurious++
 		return false
@@ -166,7 +158,9 @@ func (st *superTable) resolveProbe(res *LookupResult, pageImage []byte, kh uint6
 // by a serial walk over the candidate mask through resolveProbe — the same
 // two helpers the batched pipeline composes with overlapped I/O.
 func (st *superTable) lookup(kh uint64) (LookupResult, error) {
-	res, mask, done := st.lookupMem(kh)
+	var debt time.Duration
+	res, mask, done := st.lookupMem(kh, &debt)
+	st.owner.chargeCPU(debt) // one advance, before any device read
 	if done {
 		return res, nil
 	}
@@ -205,22 +199,30 @@ func (st *superTable) reinsertLRU(kh, v uint64) {
 // flushed to flash as a new incarnation first.
 func (st *superTable) insert(kh, v uint64) error {
 	cfg := &st.owner.cfg
-	st.owner.chargeCPU(cfg.CPU.BufferInsert)
-	delete(st.deleteList, kh) // a fresh insert revives a deleted key
+	// The insert's CPU costs land in one charge, except that a flush first
+	// lands the costs before it: its device I/O reads the clock.
+	var debt time.Duration
+	addCPU(&debt, cfg.CPU.BufferInsert)
+	if len(st.deleteList) > 0 {
+		delete(st.deleteList, kh) // a fresh insert revives a deleted key
+	}
 
 	err := st.buf.Insert(kh, v)
 	if err == cuckoo.ErrFull {
+		st.owner.chargeCPU(debt)
+		debt = 0
 		if err := st.flush(); err != nil {
 			return err
 		}
 		err = st.buf.Insert(kh, v)
 	}
+	if err == nil && st.bank != nil {
+		addCPU(&debt, cfg.CPU.BloomAdd)
+		st.bank.AddStaging(kh)
+	}
+	st.owner.chargeCPU(debt)
 	if err != nil {
 		return fmt.Errorf("core: buffer insert: %w", err)
-	}
-	if st.bank != nil {
-		st.owner.chargeCPU(cfg.CPU.BloomAdd)
-		st.bank.AddStaging(kh)
 	}
 	return nil
 }

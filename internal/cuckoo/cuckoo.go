@@ -90,27 +90,82 @@ func (p Params) ImageSize() int { return p.NSlots * hashutil.EntrySize }
 
 // PageIndex returns the locality page of a key.
 func (p Params) PageIndex(key uint64) int {
-	return int(hashutil.Hash64Seed(key, p.Seed) % uint64(p.NPages()))
+	h := p.hasher()
+	return h.pageIndex(key)
 }
 
-// bucketCandidates returns the two candidate buckets of key within its
-// page, as in-page bucket indexes. They are always distinct.
-func (p Params) bucketCandidates(key uint64) (int, int) {
-	nb := uint64(p.PageSlots / BucketSlots)
-	b1 := int(hashutil.Hash64Seed(key, p.Seed+1) % nb)
-	b2 := int(hashutil.Hash64Seed(key, p.Seed+2) % nb)
+// hasher is a Params' hash family with the seed halves pre-mixed: the page
+// function hashes under Seed and the two bucket functions under Seed+1 and
+// Seed+2, and hashutil.Hash64Seed(x, s) is Mix64(x ^ SeedMix(s)), so
+// mixing each seed once gives the same indexes without re-mixing the
+// constant seed on every hash.
+type hasher struct {
+	page, b1, b2 uint64 // SeedMix of Seed, Seed+1 and Seed+2
+	nPages       uint64
+	nBuckets     uint64 // buckets per page
+}
+
+func (p Params) hasher() hasher {
+	return hasher{
+		page:     hashutil.SeedMix(p.Seed),
+		b1:       hashutil.SeedMix(p.Seed + 1),
+		b2:       hashutil.SeedMix(p.Seed + 2),
+		nPages:   uint64(p.NPages()),
+		nBuckets: uint64(p.PageSlots / BucketSlots),
+	}
+}
+
+// mod returns x % n, as a mask when n is a power of two (the usual
+// geometry): the same value without a 64-bit division.
+func mod(x, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return x & (n - 1)
+	}
+	return x % n
+}
+
+func (h *hasher) pageIndex(key uint64) int {
+	return int(mod(hashutil.Mix64(key^h.page), h.nPages))
+}
+
+// buckets returns the two candidate buckets of key within its page, as
+// in-page bucket indexes. They are always distinct.
+func (h *hasher) buckets(key uint64) (int, int) {
+	b1 := int(mod(hashutil.Mix64(key^h.b1), h.nBuckets))
+	b2 := int(mod(hashutil.Mix64(key^h.b2), h.nBuckets))
 	if b1 == b2 {
-		b2 = (b2 + 1) % int(nb)
+		b2 = (b2 + 1) % int(h.nBuckets)
 	}
 	return b1, b2
+}
+
+// lookupInPage searches a serialized page image for key (see
+// Params.LookupInPage).
+func (h *hasher) lookupInPage(pageImage []byte, key uint64) (uint64, bool) {
+	if key == 0 {
+		return 0, false
+	}
+	b1, b2 := h.buckets(key)
+	for _, b := range [2]int{b1, b2} {
+		s := b * BucketSlots
+		for i := 0; i < BucketSlots; i++ {
+			k, v := hashutil.GetEntry(pageImage[(s+i)*hashutil.EntrySize:])
+			if k == key {
+				return v, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // Table is an in-memory cuckoo hash table. Not safe for concurrent use.
 type Table struct {
 	params Params
+	h      hasher
 	keys   []uint64
 	values []uint64
 	count  int
+	cap    int // Params().MaxItems()
 }
 
 // New creates an empty table. It panics on invalid Params (configurations
@@ -121,27 +176,38 @@ func New(params Params) *Table {
 	}
 	return &Table{
 		params: params,
+		h:      params.hasher(),
 		keys:   make([]uint64, params.NSlots),
 		values: make([]uint64, params.NSlots),
+		cap:    params.MaxItems(),
 	}
 }
 
 // Params returns the table's structural parameters.
 func (t *Table) Params() Params { return t.params }
 
+// PageIndex returns the locality page of a key: Params().PageIndex(key).
+func (t *Table) PageIndex(key uint64) int { return t.h.pageIndex(key) }
+
+// LookupInPage is Params().LookupInPage: it searches a page image
+// serialized by a table with these Params.
+func (t *Table) LookupInPage(pageImage []byte, key uint64) (uint64, bool) {
+	return t.h.lookupInPage(pageImage, key)
+}
+
 // Len returns the number of entries.
 func (t *Table) Len() int { return t.count }
 
 // Cap returns the entry capacity (NSlots·MaxLoad).
-func (t *Table) Cap() int { return t.params.MaxItems() }
+func (t *Table) Cap() int { return t.cap }
 
 // Full reports whether the table is at capacity.
 func (t *Table) Full() bool { return t.count >= t.Cap() }
 
 // findSlot returns the slot index holding key, or -1.
 func (t *Table) findSlot(key uint64) int {
-	base := t.params.PageIndex(key) * t.params.PageSlots
-	b1, b2 := t.params.bucketCandidates(key)
+	base := t.h.pageIndex(key) * t.params.PageSlots
+	b1, b2 := t.h.buckets(key)
 	for _, b := range [2]int{b1, b2} {
 		s := base + b*BucketSlots
 		for i := 0; i < BucketSlots; i++ {
@@ -187,8 +253,8 @@ func (t *Table) Insert(key, value uint64) error {
 	if key == 0 {
 		return ErrZeroKey
 	}
-	base := t.params.PageIndex(key) * t.params.PageSlots
-	b1, b2 := t.params.bucketCandidates(key)
+	base := t.h.pageIndex(key) * t.params.PageSlots
+	b1, b2 := t.h.buckets(key)
 	empty := -1
 	for _, b := range [2]int{b1, b2} {
 		s := base + b*BucketSlots
@@ -224,7 +290,7 @@ func (t *Table) Insert(key, value uint64) error {
 		curVal, t.values[s] = t.values[s], curVal
 		path[kick] = s
 		// Move the displaced entry toward its alternate bucket.
-		a1, a2 := t.params.bucketCandidates(curKey)
+		a1, a2 := t.h.buckets(curKey)
 		alt := a1
 		if alt == bucket {
 			alt = a2
@@ -307,20 +373,8 @@ func (p Params) PageByteRange(page int) (off, n int) {
 // defined by Params. This is the incarnation lookup path: the caller reads
 // just this page from flash.
 func (p Params) LookupInPage(pageImage []byte, key uint64) (uint64, bool) {
-	if key == 0 {
-		return 0, false
-	}
-	b1, b2 := p.bucketCandidates(key)
-	for _, b := range [2]int{b1, b2} {
-		s := b * BucketSlots
-		for i := 0; i < BucketSlots; i++ {
-			k, v := hashutil.GetEntry(pageImage[(s+i)*hashutil.EntrySize:])
-			if k == key {
-				return v, true
-			}
-		}
-	}
-	return 0, false
+	h := p.hasher()
+	return h.lookupInPage(pageImage, key)
 }
 
 // DecodeImage parses a full serialized image, calling fn for every non-empty

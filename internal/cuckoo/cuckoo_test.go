@@ -424,3 +424,40 @@ func BenchmarkGet(b *testing.B) {
 		tb.Get(keys[i%len(keys)])
 	}
 }
+
+// TestPremixedSeedsKeepHashFamily pins the pre-mixed seeds to the hash
+// family they replace: page Hash64Seed(k, Seed) mod pages and buckets
+// Hash64Seed(k, Seed+1) and Hash64Seed(k, Seed+2) mod buckets per page
+// (the second bumped when equal), so placements and images are unchanged,
+// with power-of-two and other page and bucket counts.
+func TestPremixedSeedsKeepHashFamily(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, p := range []Params{
+		{NSlots: 8192, PageSlots: 256, Seed: 42},
+		{NSlots: 4096, PageSlots: 128, Seed: 0xdeadbeef},
+		{NSlots: 96, PageSlots: 12, Seed: 1 << 63},
+		{NSlots: 120, PageSlots: 8, Seed: 7}, // 15 pages
+	} {
+		tab := New(p)
+		h := p.hasher()
+		nb := uint64(p.PageSlots / BucketSlots)
+		for i := 0; i < 5000; i++ {
+			k := rng.Uint64() | 1
+			wantPage := int(hashutil.Hash64Seed(k, p.Seed) % uint64(p.NPages()))
+			w1 := int(hashutil.Hash64Seed(k, p.Seed+1) % nb)
+			w2 := int(hashutil.Hash64Seed(k, p.Seed+2) % nb)
+			if w1 == w2 {
+				w2 = (w2 + 1) % int(nb)
+			}
+			if got := tab.PageIndex(k); got != wantPage {
+				t.Fatalf("%+v key %#x: page %d, want %d", p, k, got, wantPage)
+			}
+			if got := p.PageIndex(k); got != wantPage {
+				t.Fatalf("%+v key %#x: Params page %d, want %d", p, k, got, wantPage)
+			}
+			if b1, b2 := h.buckets(k); b1 != w1 || b2 != w2 {
+				t.Fatalf("%+v key %#x: buckets (%d, %d), want (%d, %d)", p, k, b1, b2, w1, w2)
+			}
+		}
+	}
+}

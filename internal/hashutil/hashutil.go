@@ -26,7 +26,14 @@ func Mix64(x uint64) uint64 {
 // (empirically) independent hash functions, which is how the cuckoo tables
 // and Bloom filters derive their function families.
 func Hash64Seed(x, seed uint64) uint64 {
-	return Mix64(x ^ Mix64(seed+0x9e3779b97f4a7c15))
+	return Mix64(x ^ SeedMix(seed))
+}
+
+// SeedMix is the half of Hash64Seed that depends on the seed alone:
+// Hash64Seed(x, seed) == Mix64(x ^ SeedMix(seed)). Callers hashing many
+// keys under one fixed seed mix it once and keep the result.
+func SeedMix(seed uint64) uint64 {
+	return Mix64(seed + 0x9e3779b97f4a7c15)
 }
 
 // HashBytes hashes an arbitrary byte string with a seeded FNV-1a/mix hybrid:

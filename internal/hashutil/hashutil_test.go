@@ -230,3 +230,23 @@ func BenchmarkDoubleHashFastrange(b *testing.B) { benchDoubleHash(b, 65521, Doub
 func BenchmarkDoubleHashMod(b *testing.B)       { benchDoubleHash(b, 65521, doubleHashMod) }
 func BenchmarkDoubleHashPow2Mask(b *testing.B)  { benchDoubleHash(b, 1<<16, DoubleHash) }
 func BenchmarkDoubleHashPow2Mod(b *testing.B)   { benchDoubleHash(b, 1<<16, doubleHashMod) }
+
+func TestSeedMixSplitsHash64Seed(t *testing.T) {
+	// Golden values: the cuckoo page and bucket choices, and so every
+	// flash image byte, hang on this family staying fixed.
+	for _, c := range [][3]uint64{
+		{0x0, 0, 0x48218226ff3cd4bf},
+		{0x1, 2, 0xf2826f98653e9e57},
+		{0x123456789abcdef0, 42, 0x55c388f1e0dfbc36},
+	} {
+		if got := Hash64Seed(c[0], c[1]); got != c[2] {
+			t.Fatalf("Hash64Seed(%#x, %d) = %#x, want %#x", c[0], c[1], got, c[2])
+		}
+	}
+	f := func(x, seed uint64) bool {
+		return Hash64Seed(x, seed) == Mix64(x^SeedMix(seed))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -11,8 +11,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -258,39 +256,4 @@ func (s Summary) String() string {
 // paper's tables and figures).
 func Ms(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
-}
-
-// Counter is a monotonically increasing event counter grouped by label.
-type Counter struct {
-	counts map[string]uint64
-}
-
-// Inc adds n to the named counter.
-func (c *Counter) Inc(name string, n uint64) {
-	if c.counts == nil {
-		c.counts = make(map[string]uint64)
-	}
-	c.counts[name] += n
-}
-
-// Get returns the value of the named counter.
-func (c *Counter) Get(name string) uint64 {
-	return c.counts[name]
-}
-
-// String lists counters in sorted order.
-func (c *Counter) String() string {
-	names := make([]string, 0, len(c.counts))
-	for n := range c.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", n, c.counts[n])
-	}
-	return b.String()
 }

@@ -195,22 +195,6 @@ func TestMs(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc("reads", 3)
-	c.Inc("writes", 1)
-	c.Inc("reads", 2)
-	if c.Get("reads") != 5 || c.Get("writes") != 1 {
-		t.Fatalf("counter values wrong: %s", c.String())
-	}
-	if c.Get("absent") != 0 {
-		t.Fatal("absent counter non-zero")
-	}
-	if s := c.String(); s != "reads=5 writes=1" {
-		t.Fatalf("String() = %q", s)
-	}
-}
-
 func TestBucketIndexMonotonic(t *testing.T) {
 	prev := -1
 	for d := time.Duration(1); d < 10*time.Second; d = d*3/2 + 1 {

@@ -7,6 +7,15 @@
 // bytes, so data integrity is verified end to end by the tests — the latency
 // model and the data path are exercised together.
 //
+// Those bytes live in a SparseStore, which allocates host memory in chunks
+// of 64 device pages (256 KiB at the SSD's 4 KiB sectors, 128 KiB — one
+// erase block — at the flash chip's 2 KiB pages) as they are first written.
+// A simulated device costs one chunk per 64-page span it has touched, plus
+// a directory of 8 bytes per chunk in each 512-chunk group touched (a
+// "32 GB" SSD with a few scattered writes costs a few chunks and a few KiB
+// of directory, not 32 GB). Regions never written, or dropped by an erase
+// or trim, read as the device's fill byte.
+//
 // Besides the one-at-a-time Device interface, devices may implement
 // BatchReader and BatchWriter: queued submissions of many reads or writes
 // whose service times overlap across the device's internal parallelism
@@ -153,96 +162,3 @@ func CheckRange(g Geometry, off, n int64, align int) error {
 	}
 	return nil
 }
-
-// SparseStore is a page-granular sparse byte store. Unwritten regions read
-// as the fill byte (0x00 for disks, 0xFF for erased NAND). It is the data
-// backing for all device models, letting a simulated "32 GB" device cost
-// only as much host memory as the pages actually touched.
-type SparseStore struct {
-	pageSize int
-	fill     byte
-	pages    map[int64][]byte
-}
-
-// NewSparseStore returns a store with the given page size and fill byte.
-func NewSparseStore(pageSize int, fill byte) *SparseStore {
-	return &SparseStore{pageSize: pageSize, fill: fill, pages: make(map[int64][]byte)}
-}
-
-// ReadAt fills p from the store at off.
-func (s *SparseStore) ReadAt(p []byte, off int64) {
-	for len(p) > 0 {
-		pageIdx := off / int64(s.pageSize)
-		inPage := int(off % int64(s.pageSize))
-		n := s.pageSize - inPage
-		if n > len(p) {
-			n = len(p)
-		}
-		if page, ok := s.pages[pageIdx]; ok {
-			copy(p[:n], page[inPage:inPage+n])
-		} else {
-			for i := 0; i < n; i++ {
-				p[i] = s.fill
-			}
-		}
-		p = p[n:]
-		off += int64(n)
-	}
-}
-
-// WriteAt stores p at off, allocating pages as needed.
-func (s *SparseStore) WriteAt(p []byte, off int64) {
-	for len(p) > 0 {
-		pageIdx := off / int64(s.pageSize)
-		inPage := int(off % int64(s.pageSize))
-		n := s.pageSize - inPage
-		if n > len(p) {
-			n = len(p)
-		}
-		page, ok := s.pages[pageIdx]
-		if !ok {
-			page = make([]byte, s.pageSize)
-			if s.fill != 0 {
-				for i := range page {
-					page[i] = s.fill
-				}
-			}
-			s.pages[pageIdx] = page
-		}
-		copy(page[inPage:inPage+n], p[:n])
-		p = p[n:]
-		off += int64(n)
-	}
-}
-
-// Drop releases the pages fully covered by [off, off+n) and refills partial
-// overlaps with the fill byte.
-func (s *SparseStore) Drop(off, n int64) {
-	end := off + n
-	first := off / int64(s.pageSize)
-	last := (end - 1) / int64(s.pageSize)
-	for idx := first; idx <= last; idx++ {
-		pageStart := idx * int64(s.pageSize)
-		pageEnd := pageStart + int64(s.pageSize)
-		if pageStart >= off && pageEnd <= end {
-			delete(s.pages, idx)
-			continue
-		}
-		if page, ok := s.pages[idx]; ok {
-			lo, hi := int64(0), int64(s.pageSize)
-			if off > pageStart {
-				lo = off - pageStart
-			}
-			if end < pageEnd {
-				hi = end - pageStart
-			}
-			for i := lo; i < hi; i++ {
-				page[i] = s.fill
-			}
-		}
-	}
-}
-
-// PagesAllocated returns the number of live pages (for memory accounting in
-// tests).
-func (s *SparseStore) PagesAllocated() int { return len(s.pages) }
