@@ -1,6 +1,6 @@
 // Package repro's root benchmark suite regenerates every table and figure
-// of the paper's evaluation (one benchmark per artifact; see DESIGN.md §4)
-// plus raw data-structure benchmarks for the hot paths.
+// of the paper's evaluation (one benchmark per table or figure, named
+// after it) plus raw data-structure benchmarks for the hot paths.
 //
 // The experiment benchmarks measure the real CPU cost of running each
 // simulation and report the paper's quantities — simulated latencies in
@@ -402,9 +402,10 @@ func BenchmarkCLAMLookup(b *testing.B) {
 
 // --- batched lookup pipeline (wall-clock) ---
 //
-// These benchmarks compare Sharded.GetBatchU64 — the PR 2 batched pipeline:
+// These benchmarks compare Sharded.GetBatchU64 — the batched pipeline:
 // phase-A memory resolution, page-deduped address-sorted flash probes
-// overlapped through storage.BatchReader, chunked shard-affine dispatch —
+// overlapped through storage.BatchReader, per-shard chunks on the worker
+// pool —
 // against the plain per-key Lookup loop, across shard counts and key
 // distributions. As with BenchmarkShardedSpeedup, the parallel component
 // of the win is bounded by GOMAXPROCS; the batching component (lock, clock

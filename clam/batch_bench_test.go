@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// Benchmarks for the batched lookup pipeline against the PR-1 baseline
-// (whole shard groups dispatched to the pool, one blocking Lookup per key).
-// The workload is flash-heavy: the store is warmed past eviction onset so
-// most hits require at least one incarnation page probe, which is where
-// batching (lock amortization, page dedupe, overlapped virtual I/O) pays.
+// Benchmarks for the batched lookup pipeline against the per-key baseline
+// (one blocking GetU64 per key, the paper's design point). The workload is
+// flash-heavy: the store is warmed past eviction onset so most hits
+// require at least one incarnation page probe, which is where batching
+// (lock amortization, page dedupe, overlapped virtual I/O) pays.
 
 // openBatchBench builds an 8-shard/8-worker instance small enough to warm
 // past eviction onset quickly: 16 MB of flash = 512k entry capacity, warmed
@@ -56,36 +56,6 @@ func measureLookups(b *testing.B, fn func()) time.Duration {
 	return best
 }
 
-// benchPipelineVsPerKeyDispatch reports the wall-clock speedup of the
-// chunked batched pipeline over the PR-1 per-key group dispatch on the
-// given probe stream. Lookups under FIFO don't mutate state, so both paths
-// run against the same warmed instance. The parallel component of the
-// speedup is bounded by GOMAXPROCS (reported alongside, as in
-// BenchmarkShardedSpeedup); the batching component — lock/clock/histogram
-// amortization, phase-A memoization, page dedupe — survives even on one
-// core, which is what the Zipf variant demonstrates.
-func benchPipelineVsPerKeyDispatch(b *testing.B, s *Sharded, probes []uint64) {
-	b.ResetTimer()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		perKey := measureLookups(b, func() {
-			if _, _, err := s.getBatchU64PerKey(probes); err != nil {
-				b.Fatal(err)
-			}
-		})
-		pipeline := measureLookups(b, func() {
-			if _, _, err := s.GetBatchU64(context.Background(), probes); err != nil {
-				b.Fatal(err)
-			}
-		})
-		speedup = perKey.Seconds() / pipeline.Seconds()
-		b.ReportMetric(float64(len(probes))/pipeline.Seconds(), "pipeline_ops/s(wall)")
-		b.ReportMetric(float64(len(probes))/perKey.Seconds(), "perkey_ops/s(wall)")
-	}
-	b.ReportMetric(speedup, "speedup_x")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
 // BenchmarkLookupBatchVsSerialLoop compares the pipeline against the plain
 // single-caller per-key Lookup loop — the paper's blocking design point —
 // on the flash-heavy uniform workload. On a multi-core host the router adds
@@ -119,66 +89,4 @@ func BenchmarkLookupBatchVsSerialLoop(b *testing.B) {
 	}
 	b.ReportMetric(speedup, "speedup_x")
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
-// BenchmarkLookupBatchUniformVsPerKeyDispatch: uniformly drawn warm keys —
-// the flash-heavy baseline comparison.
-func BenchmarkLookupBatchUniformVsPerKeyDispatch(b *testing.B) {
-	s, universe := openBatchBench(b)
-	rng := rand.New(rand.NewSource(61))
-	probes := make([]uint64, 65536)
-	for i := range probes {
-		probes[i] = universe[rng.Intn(len(universe))]
-	}
-	benchPipelineVsPerKeyDispatch(b, s, probes)
-}
-
-// BenchmarkLookupBatchZipfVsPerKeyDispatch: Zipf(1.2)-ranked warm keys, so
-// one shard's group dwarfs the others — the skew the chunked router was
-// built for. Acceptance target: ≥ 1.3× the PR-1 dispatch.
-func BenchmarkLookupBatchZipfVsPerKeyDispatch(b *testing.B) {
-	s, universe := openBatchBench(b)
-	zr := rand.New(rand.NewSource(62))
-	zipfRank := rand.NewZipf(zr, 1.2, 1, uint64(len(universe)-1))
-	probes := make([]uint64, 65536)
-	for i := range probes {
-		probes[i] = universe[zipfRank.Uint64()]
-	}
-	benchPipelineVsPerKeyDispatch(b, s, probes)
-}
-
-// BenchmarkSingleShardFastPath: the all-keys-one-shard extreme. The fast
-// path skips grouping and the gather/scatter copies; the routed baseline
-// is the same batch forced through the general router path. The gap is the
-// single-core win of the PR-5 contiguity fast path (reported as
-// fastpath_speedup_x), independent of phase-A parallelism.
-func BenchmarkSingleShardFastPath(b *testing.B) {
-	s, universe := openBatchBench(b)
-	rng := rand.New(rand.NewSource(63))
-	probes := make([]uint64, 65536)
-	for i := range probes {
-		probes[i] = universe[rng.Intn(len(universe))] &^ (uint64(7) << 61) // shard 0 of 8
-	}
-	values := make([]uint64, len(probes))
-	found := make([]bool, len(probes))
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		routed := measureLookups(b, func() {
-			if err := s.getBatchU64Routed(ctx, probes, values, found); err != nil {
-				b.Fatal(err)
-			}
-		})
-		fast := measureLookups(b, func() {
-			if err := s.getBatchU64Single(ctx, 0, probes, values, found); err != nil {
-				b.Fatal(err)
-			}
-		})
-		speedup = routed.Seconds() / fast.Seconds()
-		b.ReportMetric(float64(len(probes))/fast.Seconds(), "fastpath_ops/s(wall)")
-		b.ReportMetric(float64(len(probes))/routed.Seconds(), "routed_ops/s(wall)")
-	}
-	b.ReportMetric(speedup, "fastpath_speedup_x")
 }

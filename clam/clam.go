@@ -36,9 +36,9 @@
 // Adding WithShards(8) to the same option list opens a Sharded store: the
 // key space is partitioned by top fingerprint bits across independent
 // shards, each a complete CLAM with its own BufferHash, device models,
-// virtual clock and histograms. Batch operations route through a shared
-// chunk queue over a bounded worker pool with single-shard ownership,
-// cache affinity and shard stealing. GetBatch/GetBatchU64 run each chunk
+// virtual clock and histograms. Batch operations group their keys by
+// shard and run the shards on a bounded worker pool, each shard's keys in
+// chunks of WithBatchChunk keys. GetBatch/GetBatchU64 run each chunk
 // through the core batched lookup pipeline, overlapping index page probes
 // — and then value-log record reads, a second I/O stream — across the
 // device's internal queue lanes. PutBatch/PutBatchU64 are the write-side
@@ -48,35 +48,23 @@
 // the same way lookup probes do while counters and state stay exactly
 // serial (Stats.WriteLatency shows the flattened write tail).
 //
-// # Worker model: one worker per shard, cooperative phases on hot shards
+// # Worker model: one worker per shard
 //
-// A shard serializes behind one mutex, so the batch router assigns each
-// pending shard to exactly one worker at a time: within-shard input order
-// is preserved, and a worker keeps its shard between chunks (cache
-// affinity) until it is drained, then steals the next pending shard. Under
-// uniform traffic that keeps every worker busy; under heavy skew the
-// drained-out workers used to idle while one worker ground through the
-// hot shard's chunks.
-//
-// WithShardParallelism(n) closes that gap without giving up the one-mutex
-// shard: the core batch pipelines split their phase A — the read-mostly
-// memory-resolution phase (route hashing, buffer probes, Bloom queries) —
-// into contiguous key lanes, and a worker that finds no shard left to own
-// attaches to the deepest pending shard as a co-worker, executing phase-A
-// lanes its owner hands over (up to n-1 co-workers per shard). All
-// mutation — buffer application, flush staging, probe resolution, the
-// clock advance — stays in a single sequenced drain on the owning worker,
-// so results, per-key probe sequences and every core counter are exactly
-// the serial pipeline's (the cooperative differential oracles pin this);
-// only wall-clock time changes, bounded by physical cores.
-// Stats.Router reports per-shard co-worker occupancy. Batches whose keys
-// all route to one shard — the extreme of the skew — additionally skip
-// the grouping sort and its gather/scatter copies entirely and run
-// phase-A lanes on spawned goroutines within the worker budget.
+// A CLAM is one BufferHash behind one mutex, the paper's blocking-I/O
+// design point (§5), and a Sharded store gets its parallelism from
+// independent shards. A Sharded batch op buckets its keys by shard with
+// one counting sort, keeping input order within each shard. A pool of at
+// most WithWorkers goroutines then claims the shards with keys in shard
+// order; a worker drains its shard chunk by chunk, each chunk one core
+// batched-pipeline call, before it takes the next shard. A shard's keys
+// are cut into chunks exactly as its own batch method would cut them, so
+// virtual time, counters and results do not depend on the worker count.
+// Under heavy skew one worker drains the hot shard while the others
+// finish early; no worker shares a shard.
 //
 // A CLAM is opened over simulated storage devices (Intel-class SSD,
-// Transcend-class SSD, raw NAND chip, or magnetic disk — see DESIGN.md §3
-// for why simulation preserves the paper's behaviour) and operates in
+// Transcend-class SSD, raw NAND chip, or magnetic disk, each calibrated
+// against the latencies the paper reports for its hardware) and operates in
 // virtual time: every operation advances a virtual clock by its modeled
 // latency, and per-operation latency distributions are recorded in
 // histograms that the experiment harness turns into the paper's tables
@@ -92,7 +80,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"time"
 
@@ -157,8 +144,7 @@ type CLAM struct {
 	vlog   *storage.ValueLog // nil iff no value-log device was configured
 	clock  *vclock.Clock
 	fpSeed uint64
-	chunk  int         // batch chunk size: ctx-check interval and core-call bound
-	runner batchRunner // phase-A lanes for this CLAM's own batch loops (zero = serial)
+	chunk  int // batch chunk size: ctx-check interval and core-call bound
 	insert metrics.Histogram
 	lookup metrics.Histogram
 	del    metrics.Histogram
@@ -187,14 +173,6 @@ func openCLAM(cfg config) (*CLAM, error) {
 	c := &CLAM{
 		clock: clock,
 		chunk: cfg.batchChunk,
-	}
-	if w := min(cfg.shardPar, runtime.GOMAXPROCS(0)); w > 1 {
-		// A standalone CLAM has no worker pool to borrow from, so its
-		// batch chunks spread phase A over spawned lanes instead, clamped
-		// to the schedulable cores (beyond them, spawns are pure
-		// overhead). Shard CLAMs inside a Sharded never take this path —
-		// the router binds its cooperative runner per chunk.
-		c.runner = batchRunner{width: w, run: core.GoRunner}
 	}
 	dev := cfg.customDevice
 	vdev := cfg.customVLogDev
@@ -380,28 +358,35 @@ func (c *CLAM) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatchU64 length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	for lo := 0; lo < len(keys); lo += c.chunk {
+	return forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
+		return c.putBatchU64Chunk(keys[lo:hi], values[lo:hi])
+	})
+}
+
+// forChunks calls op on [lo, hi) cut into consecutive ranges of at most
+// chunk items, the first starting at lo, and checks ctx before each range.
+// It stops at the first error, returning it (or ctx.Err()). Every batch op
+// of CLAM and Sharded runs its chunks through here.
+func forChunks(ctx context.Context, lo, hi, chunk int, op func(lo, hi int) error) error {
+	for ; lo < hi; lo += chunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.putBatchU64Chunk(keys[lo:hi], values[lo:hi], c.runner); err != nil {
+		if err := op(lo, min(lo+chunk, hi)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// putBatchU64Chunk is one locked batched-insert call running phase A on
-// br's lanes. The sharded batch router calls this chunk-by-chunk with
-// per-worker gather buffers and its cooperative runner.
-func (c *CLAM) putBatchU64Chunk(keys, values []uint64, br batchRunner) error {
+// putBatchU64Chunk is one locked batched-insert call; Sharded's batch ops
+// call it with per-shard chunks.
+func (c *CLAM) putBatchU64Chunk(keys, values []uint64) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if err := c.bh.InsertBatch(keys, values); err != nil {
 		return err
@@ -424,14 +409,10 @@ func (c *CLAM) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64,
 	values = make([]uint64, len(keys))
 	found = make([]bool, len(keys))
 	results := make([]core.LookupResult, len(keys))
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.getBatchU64Into(keys[lo:hi], results[lo:hi], c.runner); err != nil {
-			return nil, nil, err
-		}
+	if err := forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
+		return c.getBatchU64Into(keys[lo:hi], results[lo:hi])
+	}); err != nil {
+		return nil, nil, err
 	}
 	for i, r := range results {
 		values[i], found[i] = r.Value, r.Found
@@ -440,16 +421,14 @@ func (c *CLAM) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64,
 }
 
 // getBatchU64Into is one locked batched-lookup call without the output
-// allocation: results must have len(keys), and phase A runs on br's lanes.
-// The sharded batch router calls this chunk-by-chunk with per-worker
-// scratch buffers and its cooperative runner.
-func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult, br batchRunner) error {
+// allocation: results must have len(keys). Sharded's batch ops call it
+// with per-shard chunks of their grouped buffers.
+func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if err := c.bh.LookupBatch(keys, results); err != nil {
 		return err
@@ -462,26 +441,18 @@ func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult, br ba
 // chunks. Deletes perform no I/O; batching amortizes lock and clock
 // traffic, with counters identical to a DeleteU64 loop.
 func (c *CLAM) DeleteBatchU64(ctx context.Context, keys []uint64) error {
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.deleteBatchU64Chunk(keys[lo:hi], c.runner); err != nil {
-			return err
-		}
-	}
-	return nil
+	return forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
+		return c.deleteBatchU64Chunk(keys[lo:hi])
+	})
 }
 
 // deleteBatchU64Chunk is one locked batched-delete call.
-func (c *CLAM) deleteBatchU64Chunk(keys []uint64, br batchRunner) error {
+func (c *CLAM) deleteBatchU64Chunk(keys []uint64) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if err := c.bh.DeleteBatch(keys); err != nil {
 		return err
@@ -618,22 +589,15 @@ func (c *CLAM) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	for i, k := range keys {
 		fps[i] = fingerprint(k, c.fpSeed)
 	}
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.putBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], c.runner); err != nil {
-			return err
-		}
-	}
-	return nil
+	return forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
+		return c.putBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi])
+	})
 }
 
 // putBatchRecords applies one chunk under the lock: one multi-record
-// value-log append, dead-record accounting, then one core insert batch on
-// br's phase-A lanes. The sharded router calls this with per-shard chunks.
-func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte, br batchRunner) error {
+// value-log append, dead-record accounting, then one core insert batch.
+// Sharded's batch ops call it with per-shard chunks.
+func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	if len(fps) == 0 {
 		return nil
 	}
@@ -642,7 +606,6 @@ func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte, br batchRunn
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if cap(c.putOffs) < len(fps) {
 		c.putOffs = make([]int64, len(fps))
@@ -700,23 +663,19 @@ func (c *CLAM) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, fo
 	for i, k := range keys {
 		fps[i] = fingerprint(k, c.fpSeed)
 	}
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.getBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], found[lo:hi], c.runner); err != nil {
-			return nil, nil, err
-		}
+	if err := forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
+		return c.getBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], found[lo:hi])
+	}); err != nil {
+		return nil, nil, err
 	}
 	return values, found, nil
 }
 
-// getBatchRecords resolves one chunk under the lock: batched index lookup
-// on br's phase-A lanes, then one batched value-log read for every key
-// that resolved to a record pointer, then per-key verification. The
-// sharded router calls this with gathered per-shard chunks.
-func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool, br batchRunner) error {
+// getBatchRecords resolves one chunk under the lock: batched index lookup,
+// then one batched value-log read for every key that resolved to a record
+// pointer, then per-key verification. It sets values[i] and found[i] only
+// for keys it finds. Sharded's batch ops call it with per-shard chunks.
+func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	if len(fps) == 0 {
 		return nil
 	}
@@ -725,7 +684,6 @@ func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fou
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if cap(c.batchRes) < len(fps) {
 		c.batchRes = make([]core.LookupResult, len(fps))
@@ -770,27 +728,19 @@ func (c *CLAM) DeleteBatch(ctx context.Context, keys [][]byte) error {
 	for i, k := range keys {
 		fps[i] = fingerprint(k, c.fpSeed)
 	}
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.deleteBatchFPs(fps[lo:hi], c.runner); err != nil {
-			return err
-		}
-	}
-	return nil
+	return forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
+		return c.deleteBatchFPs(fps[lo:hi])
+	})
 }
 
 // deleteBatchFPs applies one chunk of byte-key deletes under the lock,
 // accounting each fingerprint's buffered record dead once.
-func (c *CLAM) deleteBatchFPs(fps []uint64, br batchRunner) error {
+func (c *CLAM) deleteBatchFPs(fps []uint64) error {
 	if len(fps) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if c.deadSeen == nil {
 		c.deadSeen = make(map[uint64]uint64, len(fps))
@@ -862,27 +812,22 @@ func (c *CLAM) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error)
 	for i, k := range keys {
 		fps[i] = fingerprint(k, c.fpSeed)
 	}
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.containsBatchFPs(fps[lo:hi], found[lo:hi], c.runner); err != nil {
-			return nil, err
-		}
+	if err := forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
+		return c.containsBatchFPs(fps[lo:hi], found[lo:hi])
+	}); err != nil {
+		return nil, err
 	}
 	return found, nil
 }
 
 // containsBatchFPs resolves one chunk of existence probes under the lock.
-// The sharded router calls this with gathered per-shard chunks.
-func (c *CLAM) containsBatchFPs(fps []uint64, found []bool, br batchRunner) error {
+// Sharded's batch ops call it with per-shard chunks.
+func (c *CLAM) containsBatchFPs(fps []uint64, found []bool) error {
 	if len(fps) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if cap(c.batchRes) < len(fps) {
 		c.batchRes = make([]core.LookupResult, len(fps))
@@ -951,18 +896,16 @@ type Stats struct {
 
 	Memory core.MemoryFootprint
 
-	// Router describes the sharded batch router's cooperative scheduling
-	// activity. Zero on single CLAMs and when WithShardParallelism is off.
+	// Deprecated: Router is always zero; it is kept so code that reads
+	// Router.CoopLanes still compiles.
 	Router RouterStats
 }
 
-// RouterStats is the per-shard co-worker occupancy of the batch router
-// (see WithShardParallelism): CoopJoins[sh] counts idle workers that
-// attached to shard sh as phase-A co-workers, CoopLanes[sh] the phase-A
-// lanes they executed on its behalf. Heavily skewed batch streams show the
-// hot shards' entries dominating both.
+// RouterStats once reported the batch router's cooperative co-worker
+// occupancy per shard.
 type RouterStats struct {
-	CoopJoins []uint64
+	// Deprecated: the cooperative phase-A co-workers were removed, so
+	// CoopLanes is always nil.
 	CoopLanes []uint64
 }
 

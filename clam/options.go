@@ -41,7 +41,6 @@ type config struct {
 	shards     int
 	workers    int
 	batchChunk int
-	shardPar   int
 }
 
 // WithDevice selects the storage model for the index and the value log
@@ -218,33 +217,13 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithShardParallelism lets up to n workers cooperate on a single shard's
-// batch (default 1: one worker per shard, the pre-cooperative model). With
-// n > 1, a batch's chunk calls split their phase A — the read-mostly
-// memory-resolution phase of the core pipelines — into parallel lanes: on
-// a Sharded store, router workers that run out of shards to own attach to
-// the deepest pending shard and serve its lanes instead of idling (capped
-// at n-1 co-workers per shard, within the WithWorkers budget); on a single
-// CLAM, lanes run on up to n-1 spawned goroutines. Results, per-key probe
-// sequences and all core counters are exactly those of the serial pipeline
-// — parallelism only changes wall-clock time, never state or virtual time
-// (the differential oracles pin this).
-func WithShardParallelism(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("clam: WithShardParallelism(%d): parallelism must be positive", n)
-		}
-		c.shardPar = n
-		return nil
-	}
-}
-
-// WithBatchChunk sets the batch pipeline's task granularity: batches are
-// consumed in chunks of at most this many keys (default 512). A chunk is
-// one core batched-pipeline call, so the setting bounds gather scratch and
-// the scope of same-page read dedupe; it is also the interval at which
-// cancellation is checked and — on a Sharded store — at which the owning
-// worker re-visits the shared router queue.
+// WithBatchChunk sets the batch pipeline's chunk size: a batch reaches
+// the core in chunks of at most this many keys (default 512). A chunk is
+// one locked core batched-pipeline call, so the setting bounds per-call
+// scratch and the scope of same-page read dedupe, and cancellation is
+// checked before each chunk. On a Sharded store each shard's keys are cut
+// into chunks in input order, starting at the shard's first key, so a
+// shard's virtual time and counters do not depend on WithWorkers.
 func WithBatchChunk(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -279,7 +258,7 @@ func Open(opts ...Option) (Store, error) {
 	return openCLAM(cfg)
 }
 
-// defaultBatchChunk is the batch router's default task granularity.
+// defaultBatchChunk is the default WithBatchChunk size.
 const defaultBatchChunk = 512
 
 // newKindDevice builds a device model of the given kind.

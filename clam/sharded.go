@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,30 +36,10 @@ type Sharded struct {
 	shards  []*CLAM
 	shift   uint // 64 - log2(len(shards)); shift ≥ 64 routes everything to shard 0
 	workers int
-	chunk   int    // batch router task granularity (keys per chunk)
-	par     int    // co-workers per shard (WithShardParallelism; 1 = off)
-	fpSeed  uint64 // deployment-level byte-key fingerprint seed
-	groups  sync.Pool
-	gather  sync.Pool // *gatherScratch, per-worker batch buffers
+	chunk   int       // batch chunk size (keys per core call)
+	fpSeed  uint64    // deployment-level byte-key fingerprint seed
+	groups  sync.Pool // *shardGroups, per-batch grouping scratch
 	fps     sync.Pool // *[]uint64, per-batch byte-key fingerprint buffers
-
-	// Cooperative-router occupancy counters, cumulative per shard:
-	// coopJoins counts idle workers attaching as co-workers, coopLanes the
-	// phase-A lanes they executed (Stats.Router).
-	coopJoins []atomic.Uint64
-	coopLanes []atomic.Uint64
-}
-
-// gatherScratch is one worker's chunk-sized gather/scatter buffers for the
-// batched lookups, pooled so steady batch streams allocate nothing per
-// call.
-type gatherScratch struct {
-	keys []uint64
-	res  []core.LookupResult
-
-	bkeys  [][]byte // byte-path gathered keys
-	bvals  [][]byte
-	bfound []bool
 }
 
 // openSharded builds a Sharded CLAM from a resolved config, opening one
@@ -99,25 +79,15 @@ func openSharded(cfg config) (*Sharded, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	par := cfg.shardPar
-	if par < 1 {
-		par = 1
-	}
 	s := &Sharded{
-		shards:    make([]*CLAM, n),
-		shift:     64 - uint(bits.Len(uint(n))-1),
-		workers:   workers,
-		chunk:     cfg.batchChunk,
-		par:       par,
-		fpSeed:    seed,
-		coopJoins: make([]atomic.Uint64, n),
-		coopLanes: make([]atomic.Uint64, n),
+		shards:  make([]*CLAM, n),
+		shift:   64 - uint(bits.Len(uint(n))-1),
+		workers: workers,
+		chunk:   cfg.batchChunk,
+		fpSeed:  seed,
 	}
 	for i := range s.shards {
 		po := cfg
-		// Shard CLAMs must not self-spawn phase-A lanes: cooperative
-		// parallelism is the router's to schedule, chunk by chunk.
-		po.shardPar = 0
 		po.flashBytes = cfg.flashBytes / int64(n)
 		po.memoryBytes = cfg.memoryBytes / int64(n)
 		po.valueLogBytes = cfg.valueLogBytes / int64(n)
@@ -152,10 +122,6 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 
 // Workers returns the batch worker-pool bound.
 func (s *Sharded) Workers() int { return s.workers }
-
-// ShardParallelism returns the per-shard co-worker bound set by
-// WithShardParallelism (1 = one worker per shard, co-working off).
-func (s *Sharded) ShardParallelism() int { return s.par }
 
 // Shard exposes shard i for inspection (per-shard stats, clock, device).
 // The returned CLAM is live; its methods take the shard lock as usual.
@@ -242,15 +208,11 @@ func (s *Sharded) Now() time.Duration {
 }
 
 // ResetMetrics clears every shard's latency histograms and core counters,
-// and the router's cooperative-occupancy counters, so every field of the
-// next Stats snapshot covers the same since-reset window.
+// so every field of the next Stats snapshot covers the same since-reset
+// window.
 func (s *Sharded) ResetMetrics() {
 	for _, c := range s.shards {
 		c.ResetMetrics()
-	}
-	for i := range s.coopJoins {
-		s.coopJoins[i].Store(0)
-		s.coopLanes[i].Store(0)
 	}
 }
 
@@ -280,14 +242,6 @@ func (s *Sharded) Stats() Stats {
 	agg.LookupLatency = metrics.Merged(lk...).Summarize()
 	agg.DeleteLatency = metrics.Merged(del...).Summarize()
 	agg.WriteLatency = metrics.Merged(wr...).Summarize()
-	if s.par > 1 {
-		agg.Router.CoopJoins = make([]uint64, len(s.shards))
-		agg.Router.CoopLanes = make([]uint64, len(s.shards))
-		for i := range s.shards {
-			agg.Router.CoopJoins[i] = s.coopJoins[i].Load()
-			agg.Router.CoopLanes[i] = s.coopLanes[i].Load()
-		}
-	}
 	return agg
 }
 
@@ -308,418 +262,169 @@ func (c *CLAM) snapshot() (Stats, *metrics.Histogram, *metrics.Histogram, *metri
 	return st, &hi, &hl, &hd, &hw
 }
 
-// --- batch grouping and the chunked batch router ---
+// --- batch grouping and the worker pool ---
 
-// shardGroups is the reusable result of grouping a batch's key indices by
-// shard with a counting sort: shard sh owns idx[start[sh]:start[sh+1]], in
-// input order. cur is the router's per-shard consumption cursor. Instances
-// are pooled on the Sharded because batches run concurrently.
-//
-// Mutation batches don't need to scatter results back to input positions,
-// so groupPairsByShard skips the index layer entirely: keys (and values)
-// are bucketed directly into contiguous per-shard runs held in kbuf/vbuf,
-// and each router chunk is a zero-copy slice of those runs.
+// shardGroups is one batch bucketed by shard with a counting sort: shard sh
+// owns positions [start[sh], start[sh+1]) of keys — and of vals, bkeys and
+// bvals when the op carries them — in input order, and shards lists the
+// shards with a non-empty run. Ops that scatter results back record each
+// bucketed key's input position in pos and write results into the
+// group-ordered res/found buffers (GetBatch writes its values into bvals).
+// Instances are pooled on the Sharded because batches run concurrently.
 type shardGroups struct {
-	idx   []int
-	start []int
-	cur   []int
-	kbuf  []uint64
-	vbuf  []uint64
-	bkbuf [][]byte
-	bvbuf [][]byte
-	ws    []*gatherScratch // per-worker gather buffers, bound lazily
+	start  []int
+	cur    []int // counting-sort cursors
+	shards []int
+	pos    []int
+	keys   []uint64
+	vals   []uint64
+	bkeys  [][]byte
+	bvals  [][]byte
+	res    []core.LookupResult
+	found  []bool
 }
 
-// groupByShard buckets key indices by owning shard via a two-pass counting
-// sort into a pooled shardGroups. For byte batches the caller passes the
-// precomputed fingerprints. Callers return the groups with putGroups.
-func (s *Sharded) groupByShard(keys []uint64) *shardGroups {
-	n := len(s.shards)
+// resize returns buf with length n, reallocating only when its capacity is
+// short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// group buckets a batch by owning shard in one counting sort into a pooled
+// shardGroups: keys always, vals, bk and bv when non-nil, and input
+// positions when scatter is set. Byte batches pass their fingerprints as
+// keys. Callers return the groups with putGroups.
+func (s *Sharded) group(keys, vals []uint64, bk, bv [][]byte, scatter bool) *shardGroups {
 	g, _ := s.groups.Get().(*shardGroups)
 	if g == nil {
-		g = &shardGroups{start: make([]int, n+1), cur: make([]int, n)}
+		g = &shardGroups{start: make([]int, len(s.shards)+1), cur: make([]int, len(s.shards))}
 	}
-	if cap(g.idx) < len(keys) {
-		g.idx = make([]int, len(keys))
-	}
-	g.idx = g.idx[:len(keys)]
-	for i := range g.cur {
-		g.cur[i] = 0
-	}
+	clear(g.cur)
 	for _, k := range keys {
 		g.cur[s.shardIndex(k)]++
 	}
-	g.start[0] = 0
-	for i := 0; i < n; i++ {
-		g.start[i+1] = g.start[i] + g.cur[i]
-		g.cur[i] = g.start[i]
+	g.shards = g.shards[:0]
+	for sh, n := range g.cur {
+		g.start[sh+1] = g.start[sh] + n
+		g.cur[sh] = g.start[sh]
+		if n > 0 {
+			g.shards = append(g.shards, sh)
+		}
+	}
+	g.keys = resize(g.keys, len(keys))
+	if vals != nil {
+		g.vals = resize(g.vals, len(keys))
+	}
+	if bk != nil {
+		g.bkeys = resize(g.bkeys, len(keys))
+	}
+	if bv != nil {
+		g.bvals = resize(g.bvals, len(keys))
+	}
+	if scatter {
+		g.pos = resize(g.pos, len(keys))
 	}
 	for i, k := range keys {
 		sh := s.shardIndex(k)
-		g.idx[g.cur[sh]] = i
+		at := g.cur[sh]
 		g.cur[sh]++
+		g.keys[at] = k
+		if vals != nil {
+			g.vals[at] = vals[i]
+		}
+		if bk != nil {
+			g.bkeys[at] = bk[i]
+		}
+		if bv != nil {
+			g.bvals[at] = bv[i]
+		}
+		if scatter {
+			g.pos[at] = i
+		}
 	}
-	for i := 0; i < n; i++ {
-		g.cur[i] = g.start[i] // rewind: cur becomes the router's cursor
-	}
-	s.bindWorkers(g)
 	return g
 }
 
 func (s *Sharded) putGroups(g *shardGroups) {
 	// Drop the byte-slice references before pooling: a retained shardGroups
 	// must not pin the previous batch's keys and values in memory.
-	clear(g.bkbuf)
-	clear(g.bvbuf)
-	for i, gs := range g.ws {
-		if gs != nil {
-			s.gather.Put(gs)
-			g.ws[i] = nil
-		}
-	}
+	clear(g.bkeys)
+	clear(g.bvals)
 	s.groups.Put(g)
 }
 
-// bindWorkers sizes g's per-worker scratch table for this batch (the
-// gatherScratch instances themselves attach lazily in workerScratch).
-func (s *Sharded) bindWorkers(g *shardGroups) {
-	if cap(g.ws) < s.workers {
-		g.ws = make([]*gatherScratch, s.workers)
-	}
-	g.ws = g.ws[:s.workers]
-}
-
-// groupPairsByShard buckets a mutation batch's keys — and, when values is
-// non-nil, the parallel values — directly into per-shard contiguous runs
-// (shard sh owns kbuf[start[sh]:start[sh+1]], in input order). Byte
-// batches pass their fingerprints as keys and bucket the byte slices
-// through bk/bv. One scatter pass replaces the index sort plus the
-// per-chunk gather copy of the lookup path, which must keep indices to
-// scatter results back.
-func (s *Sharded) groupPairsByShard(keys, values []uint64, bk, bv [][]byte) *shardGroups {
-	n := len(s.shards)
-	g, _ := s.groups.Get().(*shardGroups)
-	if g == nil {
-		g = &shardGroups{start: make([]int, n+1), cur: make([]int, n)}
-	}
-	if cap(g.kbuf) < len(keys) {
-		g.kbuf = make([]uint64, len(keys))
-	}
-	g.kbuf = g.kbuf[:len(keys)]
-	if values != nil {
-		if cap(g.vbuf) < len(values) {
-			g.vbuf = make([]uint64, len(values))
-		}
-		g.vbuf = g.vbuf[:len(values)]
-	}
-	if bk != nil {
-		if cap(g.bkbuf) < len(bk) {
-			g.bkbuf = make([][]byte, len(bk))
-		}
-		g.bkbuf = g.bkbuf[:len(bk)]
-	}
-	if bv != nil {
-		if cap(g.bvbuf) < len(bv) {
-			g.bvbuf = make([][]byte, len(bv))
-		}
-		g.bvbuf = g.bvbuf[:len(bv)]
-	}
-	for i := range g.cur {
-		g.cur[i] = 0
-	}
-	for _, k := range keys {
-		g.cur[s.shardIndex(k)]++
-	}
-	g.start[0] = 0
-	for i := 0; i < n; i++ {
-		g.start[i+1] = g.start[i] + g.cur[i]
-		g.cur[i] = g.start[i]
-	}
-	for i, k := range keys {
-		sh := s.shardIndex(k)
-		at := g.cur[sh]
-		g.cur[sh]++
-		g.kbuf[at] = k
-		if values != nil {
-			g.vbuf[at] = values[i]
-		}
-		if bk != nil {
-			g.bkbuf[at] = bk[i]
-		}
-		if bv != nil {
-			g.bvbuf[at] = bv[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		g.cur[i] = g.start[i] // rewind: cur becomes the router's cursor
-	}
-	s.bindWorkers(g)
-	return g
-}
-
-// active returns the shards that received work (bench/legacy path only;
-// the router walks start directly).
-func (g *shardGroups) active() []int {
-	var shards []int
-	for sh := 0; sh+1 < len(g.start); sh++ {
-		if g.start[sh+1] > g.start[sh] {
-			shards = append(shards, sh)
-		}
-	}
-	return shards
-}
-
-// runChunked is the batch router: shard groups become chunk-sized tasks
-// consumed from a shared queue, so skewed key distributions no longer leave
-// workers idle while unclaimed work exists. Three rules shape the schedule:
-//
-//   - Single ownership: a shard is claimed by at most one worker at a time.
-//     Its CLAM serializes behind one mutex anyway, and single ownership
-//     preserves within-shard input order.
-//   - Affinity: the owning worker keeps its shard between chunks (the
-//     shard's Bloom banks and buffers are hot in that worker's cache;
-//     migrating per chunk measurably thrashes them) and returns to the
-//     shared queue only when the shard is drained, stealing the next
-//     pending shard the moment one exists.
-//   - Co-working (WithShardParallelism > 1): a worker that finds no shard
-//     left to own attaches to the deepest still-pending owned shard — the
-//     hot shard of a skewed batch — and serves that shard's phase-A lanes
-//     through its coopShard instead of exiting, capped at parallelism-1
-//     co-workers per shard (see coop.go).
-//
-// Chunks are the unit of work between scheduler decisions: each chunk is
-// one core batched-pipeline call (bounding gather scratch and page-dedupe
-// scope) and the router's cancellation point — ctx is checked before every
-// chunk, and a canceled batch stops claiming chunks and returns ctx.Err()
-// joined with any chunk errors. Work already applied stays applied.
-//
-// run is called with the claiming worker's id (0 ≤ worker < Workers(), for
-// per-worker scratch), the shard, the chunk's key indices, and the phase-A
-// runner to bind into the chunk call. A chunk error stops that shard's
-// remaining chunks; other shards keep going, and all errors are joined —
-// matching the old dispatch's "every shard is attempted" contract.
-func (s *Sharded) runChunked(ctx context.Context, g *shardGroups, run func(worker, shard int, idxs []int, br batchRunner) error) error {
-	return s.runChunkedRanges(ctx, g, func(w, shard, lo, hi int, br batchRunner) error {
-		return run(w, shard, g.idx[lo:hi], br)
+// route runs op over every shard's run in g on the worker pool, cutting
+// each run into WithBatchChunk-sized [lo, hi) chunks from its first key.
+// Each chunk is one core batched-pipeline call and a cancellation point.
+// A chunk error stops that shard's remaining chunks; other shards keep
+// going, and all errors are joined. Work already applied stays applied.
+func (s *Sharded) route(ctx context.Context, g *shardGroups, op func(c *CLAM, lo, hi int) error) error {
+	return s.runShards(g.shards, func(sh int) error {
+		c := s.shards[sh]
+		return forChunks(ctx, g.start[sh], g.start[sh+1], s.chunk, func(lo, hi int) error {
+			return op(c, lo, hi)
+		})
 	})
 }
 
-// runChunkedRanges is the range form of the router: callbacks receive the
-// chunk as a [lo, hi) range of the shard's group, which bucketed mutation
-// batches slice directly out of the grouped key/value runs (no index
-// layer) and index-based callers resolve through g.idx.
-func (s *Sharded) runChunkedRanges(ctx context.Context, g *shardGroups, run func(worker, shard, lo, hi int, br batchRunner) error) error {
-	var ready []int
-	remaining := 0
-	for sh := 0; sh+1 < len(g.start); sh++ {
-		if g.start[sh+1] > g.start[sh] {
-			ready = append(ready, sh)
-			remaining++
+// runShards executes run(shard) for every listed shard on at most Workers()
+// goroutines, the caller's included. Workers claim shards in list order and
+// run each to completion before taking the next, so a shard is only ever
+// driven by one worker and sees its operations in input order. Every shard
+// is attempted whatever the others return; the errors are joined in shard
+// order.
+func (s *Sharded) runShards(shards []int, run func(shard int) error) error {
+	errs := make([]error, len(shards))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(shards); i = int(next.Add(1) - 1) {
+			errs[i] = run(shards[i])
 		}
 	}
-	if remaining == 0 {
-		return nil
-	}
-	// With co-working, workers beyond one-per-shard are useful as phase-A
-	// co-workers, up to parallelism per shard; without it they would idle.
-	workers := s.workers
-	if limit := remaining * max(s.par, 1); workers > limit {
-		workers = limit
-	}
-	if workers == 1 {
-		var errs []error
-		for _, sh := range ready {
-			for g.cur[sh] < g.start[sh+1] {
-				if err := ctx.Err(); err != nil {
-					return errors.Join(append(errs, err)...)
-				}
-				lo, hi := g.cur[sh], min(g.cur[sh]+s.chunk, g.start[sh+1])
-				g.cur[sh] = hi
-				if err := run(0, sh, lo, hi, batchRunner{}); err != nil {
-					errs = append(errs, err)
-					break // abandon this shard's remaining chunks
-				}
-			}
-		}
-		return errors.Join(errs...)
-	}
-
-	var (
-		mu       sync.Mutex // guards ready, g.cur, coops, errs, canceled
-		errs     []error
-		canceled error
-		coops    []*coopShard // owned shards' coop gates, indexed by shard
-		wg       sync.WaitGroup
-	)
-	if s.par > 1 {
-		coops = make([]*coopShard, len(g.cur))
-	}
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 1; w < min(s.workers, len(shards)); w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			mu.Lock()
-			defer mu.Unlock()
-			for {
-				if len(ready) > 0 {
-					sh := ready[0]
-					ready = ready[1:]
-					var co *coopShard
-					var br batchRunner
-					if coops != nil {
-						co = newCoopShard()
-						coops[sh] = co
-						br = batchRunner{width: s.par, run: co.runPhase}
-					}
-					// Own sh until drained, failed or canceled; between
-					// chunks only the cursor advance needs the queue lock.
-					for g.cur[sh] < g.start[sh+1] {
-						if err := ctx.Err(); err != nil {
-							if canceled == nil {
-								canceled = err
-							}
-							break
-						}
-						lo, hi := g.cur[sh], min(g.cur[sh]+s.chunk, g.start[sh+1])
-						g.cur[sh] = hi
-						mu.Unlock()
-						// Bind lanes per chunk: with no co-worker attached
-						// right now, the serial phase A (shared duplicate
-						// memo, no lane split) is strictly cheaper; helpers
-						// that attach mid-chunk catch the next chunk.
-						cbr := br
-						if co != nil && co.helpers.Load() == 0 {
-							cbr = batchRunner{}
-						}
-						err := run(w, sh, lo, hi, cbr)
-						mu.Lock()
-						if err != nil {
-							errs = append(errs, err)
-							break
-						}
-					}
-					if co != nil {
-						coops[sh] = nil
-						close(co.done) // release attached co-workers
-					}
-					if canceled != nil {
-						return
-					}
-					continue
-				}
-				if coops == nil {
-					return
-				}
-				// Co-working: no unowned shard remains. Attach to the
-				// deepest pending owned shard — depth in keys is the
-				// hot-shard signal — if it still has a co-worker slot and
-				// at least two chunks left (below that the handoff cannot
-				// pay for itself), then serve its phase-A lanes until its
-				// owner drains it.
-				best, bestDepth := -1, 2*s.chunk-1
-				for sh, co := range coops {
-					if co == nil || int(co.helpers.Load()) >= s.par-1 {
-						continue
-					}
-					if depth := g.start[sh+1] - g.cur[sh]; depth > bestDepth {
-						best, bestDepth = sh, depth
-					}
-				}
-				if best < 0 {
-					return
-				}
-				co := coops[best]
-				co.helpers.Add(1)
-				s.coopJoins[best].Add(1)
-				mu.Unlock()
-				served := co.serve()
-				mu.Lock()
-				co.helpers.Add(-1)
-				s.coopLanes[best].Add(served)
-			}
-		}(w)
+			work()
+		}()
 	}
+	work()
 	wg.Wait()
-	if canceled != nil {
-		errs = append(errs, canceled)
-	}
-	return errors.Join(errs...)
-}
-
-// runSingleShard is the contiguous-batch fast path: when every key of a
-// batch routes to one shard (the extreme of the hot-shard skew the router
-// exists for), grouping would only copy the batch into a single run, so
-// the router collapses to a chunk loop over direct sub-slices of the
-// caller's input. Phase-A lanes still engage: with WithShardParallelism,
-// chunks run on a spawned-lane runner sized within the worker budget
-// (there is no contending shard to borrow workers from).
-func (s *Sharded) runSingleShard(ctx context.Context, n int, run func(lo, hi int, br batchRunner) error) error {
-	br := s.fastRunner()
-	var errs []error
-	for lo := 0; lo < n; lo += s.chunk {
-		if err := ctx.Err(); err != nil {
-			return errors.Join(append(errs, err)...)
+	var joined []error
+	for _, err := range errs {
+		// A canceled batch reports ctx.Err() from every shard it still
+		// reached; keep one.
+		if (err == context.Canceled || err == context.DeadlineExceeded) && slices.Contains(joined, err) {
+			continue
 		}
-		hi := min(lo+s.chunk, n)
-		if err := run(lo, hi, br); err != nil {
-			errs = append(errs, err)
-			break
+		if err != nil {
+			joined = append(joined, err)
 		}
 	}
-	return errors.Join(errs...)
-}
-
-// fastRunner returns the phase-A runner for batches that bypass the
-// router: lanes spawned within the worker budget, or serial when
-// co-working is off. Spawned lanes are clamped to GOMAXPROCS — beyond the
-// schedulable cores they are pure overhead (unlike router co-workers,
-// which exist anyway and claim lanes opportunistically).
-func (s *Sharded) fastRunner() batchRunner {
-	if w := min(s.par, s.workers, runtime.GOMAXPROCS(0)); w > 1 {
-		return batchRunner{width: w, run: core.GoRunner}
-	}
-	return batchRunner{}
-}
-
-// singleShardOf returns the shard every key routes to, or -1 when the
-// batch spans shards. The scan stops at the first mismatch, so mixed
-// batches pay a handful of comparisons while contiguous single-shard
-// batches skip the counting sort and its gather/scatter copies entirely.
-func (s *Sharded) singleShardOf(keys []uint64) int {
-	if len(keys) == 0 {
-		return -1
-	}
-	sh := s.shardIndex(keys[0])
-	for _, k := range keys[1:] {
-		if s.shardIndex(k) != sh {
-			return -1
-		}
-	}
-	return sh
+	return errors.Join(joined...)
 }
 
 // --- U64 batches ---
 
-// PutBatchU64 inserts len(keys) mappings, grouped by shard and dispatched
-// through the chunked batch router. Each chunk runs the core batched
-// insert pipeline on its shard: buffer updates apply in order with one
-// deferred CPU advance, and every flush the chunk triggers is issued as
-// one address-sorted overlapped write submission. Within a shard the batch
-// preserves input order; across shards there is no ordering. On error (or
-// cancellation) the batch may be partially applied; all errors are joined.
+// PutBatchU64 inserts len(keys) mappings, grouped by shard and run on the
+// worker pool. Each chunk runs the core batched insert pipeline on its
+// shard: buffer updates apply in order with one deferred CPU advance, and
+// every flush the chunk triggers is issued as one address-sorted
+// overlapped write submission. Within a shard the batch preserves input
+// order; across shards there is no ordering. On error (or cancellation)
+// the batch may be partially applied; all errors are joined.
 func (s *Sharded) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatchU64 length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	if sh := s.singleShardOf(keys); sh >= 0 {
-		return s.runSingleShard(ctx, len(keys), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].putBatchU64Chunk(keys[lo:hi], values[lo:hi], br)
-		})
-	}
-	g := s.groupPairsByShard(keys, values, nil, nil)
+	g := s.group(keys, values, nil, nil, false)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int, br batchRunner) error {
-		return s.shards[shard].putBatchU64Chunk(g.kbuf[lo:hi], g.vbuf[lo:hi], br)
+	return s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+		return c.putBatchU64Chunk(g.keys[lo:hi], g.vals[lo:hi])
 	})
 }
 
@@ -728,109 +433,32 @@ func (s *Sharded) PutBatchU64(ctx context.Context, keys, values []uint64) error 
 // lookup pipeline: the in-memory phase answers buffer/Bloom hits with zero
 // I/O, and the flash phase dedupes keys on the same page, sorts probes by
 // device address, and overlaps them across the device's queue lanes.
-// Chunks are dispatched by the stealing router, so a Zipf-skewed batch
-// keeps every worker busy; ctx cancels between chunks.
+// Shards run in parallel on the worker pool; ctx cancels between chunks.
 func (s *Sharded) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	if len(keys) == 0 {
-		return values, found, nil
-	}
-	if sh := s.singleShardOf(keys); sh >= 0 {
-		if err := s.getBatchU64Single(ctx, sh, keys, values, found); err != nil {
-			return nil, nil, err
-		}
-		return values, found, nil
-	}
-	if err := s.getBatchU64Routed(ctx, keys, values, found); err != nil {
+	g := s.group(keys, nil, nil, nil, true)
+	defer s.putGroups(g)
+	g.res = resize(g.res, len(keys))
+	if err := s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+		return c.getBatchU64Into(g.keys[lo:hi], g.res[lo:hi])
+	}); err != nil {
 		return nil, nil, err
 	}
+	values = make([]uint64, len(keys))
+	found = make([]bool, len(keys))
+	for j, i := range g.pos {
+		values[i], found[i] = g.res[j].Value, g.res[j].Found
+	}
 	return values, found, nil
-}
-
-// getBatchU64Routed is the general multi-shard lookup path: group by
-// shard, dispatch through the cooperative chunk router, gather per chunk
-// and scatter results back to input positions. (Also the fast path's bench
-// baseline: a single-shard batch routed here pays the grouping and copies
-// the fast path exists to skip.)
-func (s *Sharded) getBatchU64Routed(ctx context.Context, keys []uint64, values []uint64, found []bool) error {
-	g := s.groupByShard(keys)
-	defer s.putGroups(g)
-	return s.runChunked(ctx, g, func(w, shard int, idxs []int, br batchRunner) error {
-		gs := s.workerScratch(g.ws, w)
-		kb := gs.keys[:0]
-		for _, i := range idxs {
-			kb = append(kb, keys[i])
-		}
-		gs.keys = kb
-		if cap(gs.res) < len(idxs) {
-			gs.res = make([]core.LookupResult, max(len(idxs), s.chunk))
-		}
-		rb := gs.res[:len(idxs)]
-		if err := s.shards[shard].getBatchU64Into(kb, rb, br); err != nil {
-			return err
-		}
-		for j, i := range idxs {
-			values[i], found[i] = rb[j].Value, rb[j].Found
-		}
-		return nil
-	})
-}
-
-// getBatchU64Single drives a single-shard lookup batch without grouping:
-// chunk-sized core pipeline calls on direct sub-slices of keys, results
-// scattered straight into the output arrays.
-func (s *Sharded) getBatchU64Single(ctx context.Context, sh int, keys []uint64, values []uint64, found []bool) error {
-	gs, _ := s.gather.Get().(*gatherScratch)
-	if gs == nil {
-		gs = &gatherScratch{}
-	}
-	defer s.gather.Put(gs)
-	if cap(gs.res) < s.chunk {
-		gs.res = make([]core.LookupResult, s.chunk)
-	}
-	return s.runSingleShard(ctx, len(keys), func(lo, hi int, br batchRunner) error {
-		rb := gs.res[:hi-lo]
-		if err := s.shards[sh].getBatchU64Into(keys[lo:hi], rb, br); err != nil {
-			return err
-		}
-		for j := range rb {
-			values[lo+j], found[lo+j] = rb[j].Value, rb[j].Found
-		}
-		return nil
-	})
 }
 
 // DeleteBatchU64 lazily removes len(keys) keys, grouped and dispatched like
 // PutBatchU64, with each chunk applied as one batched core delete.
 func (s *Sharded) DeleteBatchU64(ctx context.Context, keys []uint64) error {
-	if sh := s.singleShardOf(keys); sh >= 0 {
-		return s.runSingleShard(ctx, len(keys), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].deleteBatchU64Chunk(keys[lo:hi], br)
-		})
-	}
-	g := s.groupPairsByShard(keys, nil, nil, nil)
+	g := s.group(keys, nil, nil, nil, false)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int, br batchRunner) error {
-		return s.shards[shard].deleteBatchU64Chunk(g.kbuf[lo:hi], br)
+	return s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+		return c.deleteBatchU64Chunk(g.keys[lo:hi])
 	})
-}
-
-// workerScratch lazily binds a pooled gatherScratch to worker w (the
-// scratch table lives in the batch's pooled shardGroups; putGroups returns
-// the bound instances to the pool). Only the key gather buffer is sized
-// eagerly; the other buffers grow on the paths that use them, so
-// put/delete batches never allocate lookup scratch.
-func (s *Sharded) workerScratch(scratch []*gatherScratch, w int) *gatherScratch {
-	gs := scratch[w]
-	if gs == nil {
-		gs, _ = s.gather.Get().(*gatherScratch)
-		if gs == nil || cap(gs.keys) < s.chunk {
-			gs = &gatherScratch{keys: make([]uint64, 0, s.chunk)}
-		}
-		scratch[w] = gs
-	}
-	return gs
 }
 
 // --- byte batches ---
@@ -855,29 +483,23 @@ func (s *Sharded) fingerprints(keys [][]byte) *[]uint64 {
 
 func (s *Sharded) putFingerprints(p *[]uint64) { s.fps.Put(p) }
 
-// PutBatch applies len(keys) byte Put operations through the chunked
-// router. Each chunk runs two overlapped write streams on its shard: the
-// chunk's records land in the value log as one tail-buffered multi-record
-// append (one sequential page submission), then its fingerprints and
-// record pointers run through the core batched insert pipeline with
-// overlapped flush writes — the write-side mirror of GetBatch's two read
-// streams. See PutBatchU64 for ordering and error semantics.
+// PutBatch applies len(keys) byte Put operations through the worker pool.
+// Each chunk runs two overlapped write streams on its shard: the chunk's
+// records land in the value log as one tail-buffered multi-record append
+// (one sequential page submission), then its fingerprints and record
+// pointers run through the core batched insert pipeline with overlapped
+// flush writes — the write-side mirror of GetBatch's two read streams. See
+// PutBatchU64 for ordering and error semantics.
 func (s *Sharded) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatch length mismatch: %d keys, %d values", len(keys), len(values))
 	}
 	fpp := s.fingerprints(keys)
 	defer s.putFingerprints(fpp)
-	fps := *fpp
-	if sh := s.singleShardOf(fps); sh >= 0 {
-		return s.runSingleShard(ctx, len(fps), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].putBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], br)
-		})
-	}
-	g := s.groupPairsByShard(fps, nil, keys, values)
+	g := s.group(*fpp, nil, keys, values, false)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int, br batchRunner) error {
-		return s.shards[shard].putBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], g.bvbuf[lo:hi], br)
+	return s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+		return c.putBatchRecords(g.keys[lo:hi], g.bkeys[lo:hi], g.bvals[lo:hi])
 	})
 }
 
@@ -886,71 +508,36 @@ func (s *Sharded) PutBatch(ctx context.Context, keys, values [][]byte) error {
 // resolves fingerprints to record pointers, then the chunk's surviving
 // value-log records are fetched as one overlapped batched read.
 func (s *Sharded) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
-	values = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	if len(keys) == 0 {
-		return values, found, nil
-	}
 	fpp := s.fingerprints(keys)
 	defer s.putFingerprints(fpp)
-	fps := *fpp
-	if sh := s.singleShardOf(fps); sh >= 0 {
-		err = s.runSingleShard(ctx, len(fps), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].getBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], found[lo:hi], br)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return values, found, nil
-	}
-	g := s.groupByShard(fps)
+	g := s.group(*fpp, nil, keys, nil, true)
 	defer s.putGroups(g)
-	err = s.runChunked(ctx, g, func(w, shard int, idxs []int, br batchRunner) error {
-		gs := s.workerScratch(g.ws, w)
-		fb := gs.keys[:0]
-		kb := gs.bkeys[:0]
-		for _, i := range idxs {
-			fb = append(fb, fps[i])
-			kb = append(kb, keys[i])
-		}
-		gs.bkeys = kb
-		if cap(gs.bvals) < len(idxs) {
-			gs.bvals = make([][]byte, s.chunk)
-			gs.bfound = make([]bool, s.chunk)
-		}
-		vb, ob := gs.bvals[:len(idxs)], gs.bfound[:len(idxs)]
-		for j := range vb {
-			vb[j], ob[j] = nil, false
-		}
-		if err := s.shards[shard].getBatchRecords(fb, kb, vb, ob, br); err != nil {
-			return err
-		}
-		for j, i := range idxs {
-			values[i], found[i] = vb[j], ob[j]
-		}
-		return nil
-	})
-	if err != nil {
+	g.bvals = resize(g.bvals, len(keys))
+	g.found = resize(g.found, len(keys))
+	clear(g.bvals) // getBatchRecords writes only the keys it finds
+	clear(g.found)
+	if err := s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+		return c.getBatchRecords(g.keys[lo:hi], g.bkeys[lo:hi], g.bvals[lo:hi], g.found[lo:hi])
+	}); err != nil {
 		return nil, nil, err
+	}
+	values = make([][]byte, len(keys))
+	found = make([]bool, len(keys))
+	for j, i := range g.pos {
+		values[i], found[i] = g.bvals[j], g.found[j]
 	}
 	return values, found, nil
 }
 
-// DeleteBatch lazily removes len(keys) byte keys through the chunked
-// router, applying each chunk as one batched core delete.
+// DeleteBatch lazily removes len(keys) byte keys through the worker pool,
+// applying each chunk as one batched core delete.
 func (s *Sharded) DeleteBatch(ctx context.Context, keys [][]byte) error {
 	fpp := s.fingerprints(keys)
 	defer s.putFingerprints(fpp)
-	fps := *fpp
-	if sh := s.singleShardOf(fps); sh >= 0 {
-		return s.runSingleShard(ctx, len(fps), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].deleteBatchFPs(fps[lo:hi], br)
-		})
-	}
-	g := s.groupPairsByShard(fps, nil, nil, nil)
+	g := s.group(*fpp, nil, nil, nil, false)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int, br batchRunner) error {
-		return s.shards[shard].deleteBatchFPs(g.kbuf[lo:hi], br)
+	return s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+		return c.deleteBatchFPs(g.keys[lo:hi])
 	})
 }
 
@@ -968,121 +555,24 @@ func (s *Sharded) Contains(key []byte) (bool, error) {
 	return s.shards[s.shardIndex(fp)].containsFP(fp)
 }
 
-// ContainsBatch probes len(keys) byte keys through the chunked router and
-// the batched index pipeline, returning per-key existence in input order.
-// No value-log records are read (Contains's tradeoff), so each chunk costs
+// ContainsBatch probes len(keys) byte keys through the worker pool and the
+// batched index pipeline, returning per-key existence in input order. No
+// value-log records are read (Contains's tradeoff), so each chunk costs
 // exactly its overlapped index probes.
 func (s *Sharded) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
-	found := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return found, nil
-	}
 	fpp := s.fingerprints(keys)
 	defer s.putFingerprints(fpp)
-	fps := *fpp
-	if sh := s.singleShardOf(fps); sh >= 0 {
-		if err := s.runSingleShard(ctx, len(fps), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].containsBatchFPs(fps[lo:hi], found[lo:hi], br)
-		}); err != nil {
-			return nil, err
-		}
-		return found, nil
-	}
-	g := s.groupByShard(fps)
+	g := s.group(*fpp, nil, nil, nil, true)
 	defer s.putGroups(g)
-	err := s.runChunked(ctx, g, func(w, shard int, idxs []int, br batchRunner) error {
-		gs := s.workerScratch(g.ws, w)
-		fb := gs.keys[:0]
-		for _, i := range idxs {
-			fb = append(fb, fps[i])
-		}
-		gs.keys = fb
-		if cap(gs.bfound) < len(idxs) {
-			gs.bfound = make([]bool, max(len(idxs), s.chunk))
-		}
-		ob := gs.bfound[:len(idxs)]
-		if err := s.shards[shard].containsBatchFPs(fb, ob, br); err != nil {
-			return err
-		}
-		for j, i := range idxs {
-			found[i] = ob[j]
-		}
-		return nil
-	})
-	if err != nil {
+	g.found = resize(g.found, len(keys))
+	if err := s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+		return c.containsBatchFPs(g.keys[lo:hi], g.found[lo:hi])
+	}); err != nil {
 		return nil, err
 	}
+	found := make([]bool, len(keys))
+	for j, i := range g.pos {
+		found[i] = g.found[j]
+	}
 	return found, nil
-}
-
-// getBatchU64PerKey is the PR-1 batch path — whole shard groups dispatched
-// across the worker pool, one blocking GetU64 per key — kept unexported as
-// the baseline the batched-pipeline benchmarks compare against.
-func (s *Sharded) getBatchU64PerKey(keys []uint64) (values []uint64, found []bool, err error) {
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	g := s.groupByShard(keys)
-	defer s.putGroups(g)
-	err = s.runShards(g.active(), func(shard int) error {
-		c := s.shards[shard]
-		for _, i := range g.idx[g.start[shard]:g.start[shard+1]] {
-			v, ok, err := c.GetU64(keys[i])
-			if err != nil {
-				return err
-			}
-			values[i], found[i] = v, ok
-		}
-		return nil
-	})
-	return values, found, err
-}
-
-// runShards executes run(shard) for every listed shard, spread over at
-// most s.workers goroutines. Each shard runs on exactly one worker, so
-// per-shard operation order is preserved and workers never contend on the
-// same shard lock.
-func (s *Sharded) runShards(shardIDs []int, run func(shard int) error) error {
-	if len(shardIDs) == 0 {
-		return nil
-	}
-	workers := s.workers
-	if workers > len(shardIDs) {
-		workers = len(shardIDs)
-	}
-	// Every shard is attempted regardless of other shards' failures, so a
-	// batch applies the same set of operations whatever the Workers
-	// setting; all shard errors are joined.
-	if workers == 1 {
-		var errs []error
-		for _, sh := range shardIDs {
-			if err := run(sh); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		return errors.Join(errs...)
-	}
-	work := make(chan int)
-	errs := make([][]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for sh := range work {
-				if err := run(sh); err != nil {
-					errs[w] = append(errs[w], err)
-				}
-			}
-		}(w)
-	}
-	for _, sh := range shardIDs {
-		work <- sh
-	}
-	close(work)
-	wg.Wait()
-	var all []error
-	for _, we := range errs {
-		all = append(all, we...)
-	}
-	return errors.Join(all...)
 }

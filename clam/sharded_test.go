@@ -380,9 +380,9 @@ func TestShardedPerShardVirtualClocks(t *testing.T) {
 
 // --- chunked batch router ---
 
-// TestRouterTinyChunksEquivalence forces maximal re-queueing (BatchChunk 1)
-// and checks batch results against per-key ops, so the router's
-// claim/re-enqueue cycle is exercised thousands of times under -race.
+// TestRouterTinyChunksEquivalence forces one key per chunk (BatchChunk 1)
+// and checks batch results against per-key ops, so the chunk loop runs
+// thousands of times per batch on concurrent workers under -race.
 func TestRouterTinyChunksEquivalence(t *testing.T) {
 	s := openShardedT(t, WithDevice(IntelSSD), WithFlash(32<<20), WithMemory(8<<20),
 		WithSeed(7), WithShards(8), WithWorkers(4), WithBatchChunk(1))
@@ -413,9 +413,8 @@ func TestRouterTinyChunksEquivalence(t *testing.T) {
 	}
 }
 
-// TestRouterSkewedBatch routes ~70% of a batch to one shard — the scenario
-// that starved the old one-task-per-shard dispatch — and checks results and
-// ordering stay correct.
+// TestRouterSkewedBatch routes ~70% of a batch to one shard and checks
+// results and ordering stay correct.
 func TestRouterSkewedBatch(t *testing.T) {
 	s := openShardedSmall(t, 8, 8)
 	rng := rand.New(rand.NewSource(45))
@@ -450,8 +449,8 @@ func TestRouterSkewedBatch(t *testing.T) {
 }
 
 // TestLookupBatchMatchesPerKeyPath cross-checks the pipeline path against
-// the retained PR-1 per-key dispatch on the same instance (FIFO policy:
-// lookups don't mutate state, so both paths may run back to back).
+// a loop of public GetU64 calls on the same instance (FIFO policy: lookups
+// don't mutate state, so both paths may run back to back).
 func TestLookupBatchMatchesPerKeyPath(t *testing.T) {
 	s := openShardedSmall(t, 8, 4)
 	rng := rand.New(rand.NewSource(46))
@@ -471,17 +470,17 @@ func TestLookupBatchMatchesPerKeyPath(t *testing.T) {
 			probe[i] = keys[rng.Intn(len(keys))]
 		}
 	}
-	lv, lok, err := s.getBatchU64PerKey(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bv, bok, err := s.GetBatchU64(context.Background(), probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range probe {
-		if lv[i] != bv[i] || lok[i] != bok[i] {
-			t.Fatalf("probe %d: per-key (%d,%v) vs pipeline (%d,%v)", i, lv[i], lok[i], bv[i], bok[i])
+	for i, k := range probe {
+		v, ok, err := s.GetU64(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != bv[i] || ok != bok[i] {
+			t.Fatalf("probe %d: per-key (%d,%v) vs pipeline (%d,%v)", i, v, ok, bv[i], bok[i])
 		}
 	}
 }

@@ -52,8 +52,8 @@ import (
 //
 // # Batches and cancellation
 //
-// The batch calls take a context checked at batch-router chunk boundaries
-// (see WithBatchChunk): a canceled batch stops between chunks and returns
+// The batch calls take a context checked before each chunk (see
+// WithBatchChunk): a canceled batch stops between chunks and returns
 // ctx.Err() joined with any chunk errors. Operations already applied stay
 // applied — cancellation is early return, not rollback.
 type Store interface {
@@ -67,8 +67,8 @@ type Store interface {
 	// Update is an alias of Put (lazy update, see the interface comment).
 	Update(key, value []byte) error
 
-	// PutBatch applies len(keys) Put operations, batched through the
-	// router. keys and values must have equal length.
+	// PutBatch applies len(keys) Put operations through the batched
+	// insert pipeline. keys and values must have equal length.
 	PutBatch(ctx context.Context, keys, values [][]byte) error
 	// GetBatch looks up len(keys) keys through the batched lookup pipeline
 	// (overlapped index probes, then overlapped value-log reads) and

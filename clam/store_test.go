@@ -58,7 +58,7 @@ func TestUpdateAliasSemantics(t *testing.T) {
 
 // countingCtx is a context whose Err starts returning Canceled after the
 // Nth check — a deterministic way to cancel "mid-batch" exactly at a
-// router chunk boundary.
+// chunk boundary.
 type countingCtx struct {
 	context.Context
 	checks atomic.Int64
@@ -107,6 +107,9 @@ func TestBatchCancellation(t *testing.T) {
 		}
 		if _, _, err := st.s.GetBatch(ctx, bkeys); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: canceled GetBatch returned %v", st.name, err)
+		}
+		if _, err := st.s.ContainsBatch(ctx, bkeys); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: canceled ContainsBatch returned %v", st.name, err)
 		}
 		if err := st.s.DeleteBatchU64(ctx, keys); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: canceled DeleteBatchU64 returned %v", st.name, err)

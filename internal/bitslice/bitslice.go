@@ -62,8 +62,8 @@ var spread = func() (t [4][256]uint64) {
 }()
 
 // Bank is a bit-sliced bank of k incarnation Bloom filters plus one staging
-// (buffer) filter. Query and QueryWith only read it and may run
-// concurrently with each other; every other call needs exclusive access.
+// (buffer) filter. Query only reads it and may run concurrently with
+// other Query calls; every other call needs exclusive access.
 type Bank struct {
 	k       int    // incarnations per super table (ring length)
 	h       int    // hash functions per filter
@@ -158,15 +158,6 @@ func (b *Bank) Query(keyHash uint64) uint64 {
 	}
 	// Ring position start+j holds window offset j.
 	return (v>>b.start | v<<(b.k-b.start)) & b.kMask
-}
-
-// QueryWith is Query. It keeps no per-call state, so scratch is left
-// untouched and concurrent Query/QueryWith calls are safe while no writer
-// runs — the property the parallel phase-A lanes of a batched lookup rely
-// on. The parameter keeps the signature callers that thread per-lane
-// scratch through a filter bank already use.
-func (b *Bank) QueryWith(keyHash uint64, _ *[]uint64) uint64 {
-	return b.Query(keyHash)
 }
 
 // Rotate makes the staging filter the newest incarnation column, in place

@@ -87,7 +87,6 @@ func TestEquivalenceWithNaiveBank(t *testing.T) {
 			ref := newNaive(m, k, h)
 			rng := rand.New(rand.NewSource(int64(m)*131 + int64(k)))
 			var keys []uint64
-			var qs []uint64
 			check := func(step int) {
 				probes := []uint64{rng.Uint64()}
 				if len(keys) > 0 {
@@ -97,9 +96,6 @@ func TestEquivalenceWithNaiveBank(t *testing.T) {
 					want := ref.Query(p)
 					if got := bank.Query(p); got != want {
 						t.Fatalf("m=%d k=%d step %d: Query(%#x) = %#x, want %#x", m, k, step, p, got, want)
-					}
-					if got := bank.QueryWith(p, &qs); got != want {
-						t.Fatalf("m=%d k=%d step %d: QueryWith(%#x) = %#x, want %#x", m, k, step, p, got, want)
 					}
 					if got, want := bank.QueryStaging(p), ref.QueryStaging(p); got != want {
 						t.Fatalf("m=%d k=%d step %d: QueryStaging(%#x) = %v, want %v", m, k, step, p, got, want)
@@ -124,8 +120,8 @@ func TestEquivalenceWithNaiveBank(t *testing.T) {
 }
 
 func TestConcurrentQueryWithMatchesSerial(t *testing.T) {
-	// Readers with their own scratch on a frozen bank must see exactly the
-	// serial answers: QueryWith writes nothing the bank owns.
+	// Concurrent readers on a frozen bank must see exactly the serial
+	// answers: Query writes nothing the bank owns.
 	const (
 		m       = 196608
 		k       = 16
@@ -157,11 +153,10 @@ func TestConcurrentQueryWithMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var qs []uint64
 			for i := range probes {
 				j := (i + g*len(probes)/readers) % len(probes)
-				if got := bank.QueryWith(probes[j], &qs); got != want[j] {
-					t.Errorf("reader %d: QueryWith(%#x) = %#x, want %#x", g, probes[j], got, want[j])
+				if got := bank.Query(probes[j]); got != want[j] {
+					t.Errorf("reader %d: Query(%#x) = %#x, want %#x", g, probes[j], got, want[j])
 					return
 				}
 			}

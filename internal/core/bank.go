@@ -16,9 +16,7 @@ import (
 type filterBank interface {
 	AddStaging(keyHash uint64)
 	QueryStaging(keyHash uint64) bool
-	// Query only reads the bank: it is safe to run concurrently while no
-	// writer mutates the bank, which is how parallel phase-A lanes query
-	// one hot super table's filters without striped locks.
+	// Query only reads the bank.
 	Query(keyHash uint64) uint64
 	Rotate()
 	MemoryBits() uint64

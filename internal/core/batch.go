@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"time"
 
 	"repro/internal/storage"
 )
@@ -114,16 +113,9 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 	// advance — the virtual total is identical to the serial path's
 	// per-key charges, without several clock advances per key. Phase A
 	// performs no mutation, so a distinct key's outcome is computed once
-	// and replayed for duplicates (hot keys of a skewed batch) — and, when
-	// a phase runner is configured, contiguous sub-ranges of the segment
-	// resolve on parallel lanes whose work lists the drain below merges
-	// back in input order (see phasea.go for why this stays exact).
+	// and replayed for duplicates (hot keys of a skewed batch).
 	b.deferCPU = true
-	if lanes := b.phaseLanes(len(keys)); lanes > 1 {
-		b.lookupPhaseALanes(keys, results, lanes)
-	} else {
-		b.lookupPhaseASerial(keys, results)
-	}
+	b.lookupPhaseA(keys, results)
 	b.deferCPU = false
 	b.settleCPUDebt()
 	if len(bs.pending) == 0 {
@@ -212,9 +204,11 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 	return nil
 }
 
-// lookupPhaseASerial is the single-lane memory-resolution phase, using the
-// segment-shared duplicate memo.
-func (b *BufferHash) lookupPhaseASerial(keys []uint64, results []LookupResult) {
+// lookupPhaseA resolves keys against DRAM state: duplicates replay from the
+// direct-mapped memo, fresh keys run superTable.lookupMem, keys resolved
+// without I/O are recorded into the stats, and unresolved ones join the
+// pending set with their candidate masks. CPU costs accrue into cpuDebt.
+func (b *BufferHash) lookupPhaseA(keys []uint64, results []LookupResult) {
 	bs := &b.batch
 	if bs.memo == nil {
 		bs.memo = make([]memoEntry, memoSlots)
@@ -224,84 +218,37 @@ func (b *BufferHash) lookupPhaseASerial(keys []uint64, results []LookupResult) {
 		clear(bs.memo)
 		bs.epoch = 1
 	}
-	b.lookupMemRange(keys, results, 0, len(keys), bs.memo, bs.epoch, &bs.pending, &b.stats, &b.cpuDebt)
-}
-
-// lookupPhaseALanes is the parallel memory-resolution phase: contiguous
-// sub-ranges resolve on lanes run by the configured PhaseRunner, each
-// against private scratch. Keys duplicated across lanes recompute instead
-// of sharing the memo; recomputation is byte-identical in results and CPU
-// charges because phase A performs no mutation (the invariant the serial
-// memo replay itself relies on). The drain that follows merges the lanes'
-// pending lists in lane order — exactly the input order a serial pass
-// would have produced — and their counters and CPU-debt sums, which are
-// pure sums.
-func (b *BufferHash) lookupPhaseALanes(keys []uint64, results []LookupResult, lanes int) {
-	bs := &b.batch
-	for i := 0; i < lanes; i++ {
-		b.lane(i) // grow before the runner: lanes are owner-allocated
-	}
-	b.parRun(lanes, func(li int) {
-		ln := b.lanes[li]
-		ln.pending = ln.pending[:0]
-		ln.debt = 0
-		ln.epoch++
-		if ln.epoch == 0 { // wrapped: stale entries could look current
-			clear(ln.memo)
-			ln.epoch = 1
-		}
-		lo, hi := laneRange(len(keys), lanes, li)
-		b.lookupMemRange(keys, results, lo, hi, ln.memo, ln.epoch, &ln.pending, &ln.stats, &ln.debt)
-	})
-	// Sequenced drain: lane order = input order (contiguous sub-ranges).
-	for i := 0; i < lanes; i++ {
-		ln := b.lanes[i]
-		bs.pending = append(bs.pending, ln.pending...)
-		b.stats.Merge(ln.stats)
-		ln.stats = Stats{}
-		b.cpuDebt += ln.debt
-	}
-}
-
-// lookupMemRange resolves keys[lo:hi] against DRAM state: duplicates replay
-// from the direct-mapped memo, fresh keys run lookupMem, keys resolved
-// without I/O are recorded into stats, unresolved ones appended to pending
-// with their candidate masks. CPU costs are summed into *debt. It mutates
-// only the caller-owned memo/pending/stats/debt, so disjoint ranges with
-// disjoint scratch may run concurrently.
-func (b *BufferHash) lookupMemRange(keys []uint64, results []LookupResult, lo, hi int, memo []memoEntry, epoch uint32, pending *[]batchKey, stats *Stats, debt *time.Duration) {
 	cfg := &b.cfg
-	for i := lo; i < hi; i++ {
-		key := keys[i]
-		slot := &memo[key&(memoSlots-1)]
-		if slot.epoch == epoch && slot.key == key {
-			// Duplicate: replay the outcome, charge what lookupMem would.
-			addCPU(debt, cfg.CPU.BufferLookup)
+	for i, key := range keys {
+		slot := &bs.memo[key&(memoSlots-1)]
+		if slot.epoch == bs.epoch && slot.key == key {
+			// Duplicate: replay the outcome, charge what st.lookupMem would.
+			addCPU(&b.cpuDebt, cfg.CPU.BufferLookup)
 			if !slot.done && !cfg.DisableBloom {
 				if cfg.DisableBitslice {
-					addCPU(debt, cfg.CPU.BloomQueryNaive)
+					addCPU(&b.cpuDebt, cfg.CPU.BloomQueryNaive)
 				} else {
-					addCPU(debt, cfg.CPU.BloomQuery)
+					addCPU(&b.cpuDebt, cfg.CPU.BloomQuery)
 				}
 			}
 			results[i] = slot.res
 			if !slot.done && slot.mask != 0 {
 				st, kh := b.route(key)
-				*pending = append(*pending, batchKey{idx: i, st: st, kh: kh, mask: slot.mask})
+				bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: slot.mask})
 				continue
 			}
-			stats.recordLookup(results[i])
+			b.stats.recordLookup(results[i])
 			continue
 		}
 		st, kh := b.route(key)
-		res, mask, done := st.lookupMem(kh, debt)
-		*slot = memoEntry{key: key, epoch: epoch, done: done, mask: mask, res: res}
+		res, mask, done := st.lookupMem(kh, &b.cpuDebt)
+		*slot = memoEntry{key: key, epoch: bs.epoch, done: done, mask: mask, res: res}
 		results[i] = res
 		if !done && mask != 0 {
-			*pending = append(*pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
+			bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
 			continue
 		}
-		stats.recordLookup(res)
+		b.stats.recordLookup(res)
 	}
 }
 

@@ -56,22 +56,12 @@ type BufferHash struct {
 
 	// deferCPU batches chargeCPU calls into cpuDebt, which the batched
 	// pipelines land on the clock in one advance (settleCPUDebt). cpuDebt
-	// is a plain field: only the goroutine running the batch touches it. A
-	// parallel phase A's lanes each sum their charges privately
-	// (phaseLane.debt), and the sequenced drain adds those sums in lane
-	// order, so no per-key path pays an atomic read-modify-write.
+	// is a plain field: only the goroutine running the batch touches it.
 	deferCPU bool
 	cpuDebt  time.Duration
 
 	// routeSeed is Mix64(cfg.Seed), the seed half of routeHash, mixed once.
 	routeSeed uint64
-
-	// Phase-A partitioner state (see phasea.go): an optional runner that
-	// spreads a batch's memory-resolution phase over cooperating workers,
-	// and the per-lane private scratch.
-	parWidth int
-	parRun   PhaseRunner
-	lanes    []*phaseLane
 }
 
 // stagedWrite is one deferred incarnation write.
@@ -234,8 +224,7 @@ func (b *BufferHash) settleCPUDebt() {
 // routeHash is the pure half of route: it hashes a user key to (partition
 // index, in-partition key) without touching the structure. The first k1
 // bits of the hash select the partition; the rest form the in-partition key
-// (§5.2), normalized to be non-zero for the cuckoo tables. Being a pure
-// bijection, it is safe to precompute from parallel phase-A lanes.
+// (§5.2), normalized to be non-zero for the cuckoo tables.
 func (b *BufferHash) routeHash(key uint64) (part int, kh uint64) {
 	h := hashutil.Mix64(key ^ b.routeSeed)
 	p, rest := hashutil.Split(h, b.cfg.PartitionBits)

@@ -104,11 +104,9 @@ func (st *superTable) evictOldestExternal(seq uint64) {
 // j may hold the key). done reports the lookup resolved without I/O; a zero
 // mask with done == false is a clean miss (Bloom filters excluded every
 // incarnation). Serial lookups and LookupBatch share this path exactly, so
-// CPU charges and Bloom behaviour cannot drift apart.
-//
-// Every step is a pure read of the super table and both filter banks'
-// queries are read-only, so parallel phase-A lanes may run it concurrently
-// on one table as long as each lane sums into its own debt.
+// CPU charges and Bloom behaviour cannot drift apart. Every step is a pure
+// read of the super table, which is what lets LookupBatch replay a
+// duplicate key's outcome from its memo.
 func (st *superTable) lookupMem(kh uint64, debt *time.Duration) (res LookupResult, mask uint64, done bool) {
 	cfg := &st.owner.cfg
 	addCPU(debt, cfg.CPU.BufferLookup)

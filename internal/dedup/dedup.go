@@ -69,8 +69,8 @@ type BatchProbeIndex interface {
 const mergeWindow = 1024
 
 // FingerprintSet is a deterministic synthetic set of chunk fingerprints,
-// standing in for a dataset's index (DESIGN.md §3: synthetic stand-ins for
-// proprietary dedup corpora).
+// standing in for a dataset's index (the paper's dedup datasets are not
+// public, so the fingerprints are synthetic).
 type FingerprintSet struct {
 	seed uint64
 	n    int64
