@@ -45,8 +45,9 @@
 // mirror: each chunk's records land in the value log as one multi-record
 // append, and every buffer flush the chunk triggers is issued as one
 // address-sorted storage.BatchWriter submission, so flush writes overlap
-// the same way lookup probes do while counters and state stay exactly
-// serial (Stats.WriteLatency shows the flattened write tail).
+// the same way lookup probes do (Stats.WriteLatency shows the flattened
+// write tail). A single-key call runs the same pipeline as a batch of one,
+// so results and counters do not depend on how keys are batched.
 //
 // # Worker model: one worker per shard
 //
@@ -154,10 +155,10 @@ type CLAM struct {
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
 	batchIdx []int                  // GetBatch scatter scratch, guarded by mu
 
-	putOffs  []int64           // PutBatch value-log pointer scratch, guarded by mu
-	putNs    []int             // PutBatch value-log pointer scratch, guarded by mu
-	putPtrs  []uint64          // PutBatch encoded-pointer scratch, guarded by mu
-	deadSeen map[uint64]uint64 // PutBatch/DeleteBatch per-chunk dup tracking, guarded by mu
+	putOffs  []int64  // PutBatch value-log pointer scratch, guarded by mu
+	putNs    []int    // PutBatch value-log pointer scratch, guarded by mu
+	putPtrs  []uint64 // PutBatch encoded-pointer scratch, guarded by mu
+	deadSeen []int32  // PutBatch/DeleteBatch per-chunk dup table, guarded by mu
 }
 
 // effectiveEntryBytes is s in the §6 analysis: 16-byte entries at 50%
@@ -307,14 +308,10 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 
 // --- U64 fast path ---
 
-// PutU64 adds or updates a (key, value) mapping on the inline fast path.
+// PutU64 adds or updates a (key, value) mapping on the inline fast path:
+// a PutBatchU64 of one.
 func (c *CLAM) PutU64(key, value uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	err := c.bh.Insert(key, value)
-	c.insert.Observe(w.Elapsed())
-	return err
+	return c.putBatchU64Chunk([]uint64{key}, []uint64{value})
 }
 
 // UpdateU64 is an alias of PutU64 with the paper's lazy-update semantics
@@ -322,33 +319,25 @@ func (c *CLAM) PutU64(key, value uint64) error {
 // newest-first; there is no existence check and no read-modify-write.
 func (c *CLAM) UpdateU64(key, value uint64) error { return c.PutU64(key, value) }
 
-// GetU64 returns the latest value stored under key.
+// GetU64 returns the latest value stored under key: a GetBatchU64 of one.
 func (c *CLAM) GetU64(key uint64) (value uint64, found bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	res, err := c.bh.Lookup(key)
-	c.lookup.Observe(w.Elapsed())
-	return res.Value, res.Found, err
+	var res [1]core.LookupResult
+	err = c.getBatchU64Into([]uint64{key}, res[:])
+	return res[0].Value, res[0].Found, err
 }
 
-// DeleteU64 lazily removes key (§5.1.1).
+// DeleteU64 lazily removes key (§5.1.1): a DeleteBatchU64 of one.
 func (c *CLAM) DeleteU64(key uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	err := c.bh.Delete(key)
-	c.del.Observe(w.Elapsed())
-	return err
+	return c.deleteBatchU64Chunk([]uint64{key})
 }
 
 // PutBatchU64 applies len(keys) fast-path inserts through the core batched
 // insert pipeline (see internal/core: in-order buffer application with
 // deferred CPU charges, then every triggered flush issued as one
-// address-sorted overlapped write submission). State and structural
-// counters match a loop of PutU64 calls key-for-key; each chunk holds the
-// lock once and its flush writes overlap in virtual time. ctx is checked
-// between chunks.
+// address-sorted overlapped write submission). PutU64 is the same pipeline
+// with one key, so state and structural counters do not depend on the batch
+// size; each chunk holds the lock once and its flush writes overlap in
+// virtual time. ctx is checked between chunks.
 //
 // Latency accounting: a chunk's virtual elapsed time is spread evenly over
 // its keys, so the insert histogram records amortized per-key latency —
@@ -397,10 +386,11 @@ func (c *CLAM) putBatchU64Chunk(keys, values []uint64) error {
 
 // GetBatchU64 looks up len(keys) keys through the core batched pipeline
 // (see internal/core: in-memory phase, coalesced overlapped flash phase,
-// serial-identical resolution) and returns per-key results in input order.
-// The structural counters match a loop of GetU64 calls key-for-key; each
-// chunk holds the lock once and its flash reads overlap in virtual time.
-// ctx is checked between chunks.
+// newest-first resolution) and returns per-key results in input order.
+// GetU64 is the same pipeline with one key, so results and structural
+// counters do not depend on the batch size; each chunk holds the lock once
+// and its flash reads overlap in virtual time. ctx is checked between
+// chunks.
 //
 // Latency accounting: a chunk's virtual elapsed time is spread evenly over
 // its keys, so the lookup histogram records amortized per-key latency and
@@ -439,7 +429,8 @@ func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult) error
 
 // DeleteBatchU64 applies len(keys) fast-path deletes, checking ctx between
 // chunks. Deletes perform no I/O; batching amortizes lock and clock
-// traffic, with counters identical to a DeleteU64 loop.
+// traffic, with counters independent of the batch size (DeleteU64 is a
+// batch of one).
 func (c *CLAM) DeleteBatchU64(ctx context.Context, keys []uint64) error {
 	return forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
 		return c.deleteBatchU64Chunk(keys[lo:hi])
@@ -473,25 +464,41 @@ func (c *CLAM) Put(key, value []byte) error {
 // (§5.1.1); see Store.
 func (c *CLAM) Update(key, value []byte) error { return c.Put(key, value) }
 
+// putRecord is a put chunk of one.
 func (c *CLAM) putRecord(fp uint64, key, value []byte) error {
-	if c.vlog == nil {
-		return ErrNoValueLog
+	return c.putBatchRecords([]uint64{fp}, [][]byte{key}, [][]byte{value})
+}
+
+// markDeadChunk does a chunk's value-log space accounting: the first
+// occurrence of a fingerprint may kill a pre-chunk record still in the
+// buffer; a later occurrence in a put chunk kills the record the previous
+// occurrence wrote (ptrs[i] is occurrence i's new pointer; nil for a delete
+// chunk, whose repeats kill nothing). Repeats are found through a
+// linear-probing table of at least twice the chunk's size, indexed by the
+// fingerprint's low bits, so the cost follows this chunk, not the largest
+// one seen.
+func (c *CLAM) markDeadChunk(fps, ptrs []uint64) {
+	size := 1 << bits.Len(uint(2*len(fps)-1))
+	if cap(c.deadSeen) < size {
+		c.deadSeen = make([]int32, size)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	c.markDeadIfBuffered(fp)
-	off, n, err := c.vlog.Append(key, value)
-	if err != nil {
-		return err
+	seen := c.deadSeen[:size] // index+1 of a fingerprint's latest occurrence
+	clear(seen)
+	mask := uint64(size - 1)
+	for i, fp := range fps {
+		j := fp & mask
+		for seen[j] != 0 && fps[seen[j]-1] != fp {
+			j = (j + 1) & mask
+		}
+		if prev := seen[j] - 1; prev < 0 {
+			c.markDeadIfBuffered(fp)
+		} else if ptrs != nil {
+			if off, n, ok := core.DecodeValuePtr(ptrs[prev]); ok {
+				c.vlog.MarkDead(off, n)
+			}
+		}
+		seen[j] = int32(i + 1)
 	}
-	ptr, ok := core.EncodeValuePtr(off, n)
-	if !ok {
-		return fmt.Errorf("clam: value-log pointer (%d, %d) not encodable", off, n)
-	}
-	err = c.bh.Insert(fp, ptr)
-	c.insert.Observe(w.Elapsed())
-	return err
 }
 
 // markDeadIfBuffered moves fp's value-log record to the dead side of the
@@ -521,34 +528,12 @@ func (c *CLAM) Get(key []byte) (value []byte, found bool, err error) {
 	return c.getRecord(fingerprint(key, c.fpSeed), key)
 }
 
+// getRecord is a get chunk of one.
 func (c *CLAM) getRecord(fp uint64, key []byte) (value []byte, found bool, err error) {
-	if c.vlog == nil {
-		return nil, false, ErrNoValueLog
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	defer func() { c.lookup.Observe(w.Elapsed()) }()
-	res, err := c.bh.Lookup(fp)
-	if err != nil || !res.Found {
-		return nil, false, err
-	}
-	off, n, ok := res.ValuePointer()
-	if !ok {
-		return nil, false, nil // inline (U64-keyed) entry under this fingerprint
-	}
-	rec, ok, err := c.vlog.ReadRecord(off, n)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, nil // stale pointer: record region wrapped over
-	}
-	v, ok := storage.VerifyRecord(rec, key)
-	if !ok {
-		return nil, false, nil // fingerprint collision or overwritten record
-	}
-	return bytes.Clone(v), true, nil
+	var values [1][]byte
+	var ok [1]bool
+	err = c.getBatchRecords([]uint64{fp}, [][]byte{key}, values[:], ok[:])
+	return values[0], ok[0], err
 }
 
 // Delete lazily removes key (§5.1.1). The value-log record is reclaimed by
@@ -557,14 +542,9 @@ func (c *CLAM) Delete(key []byte) error {
 	return c.deleteFP(fingerprint(key, c.fpSeed))
 }
 
+// deleteFP is a delete chunk of one.
 func (c *CLAM) deleteFP(fp uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	c.markDeadIfBuffered(fp)
-	err := c.bh.Delete(fp)
-	c.del.Observe(w.Elapsed())
-	return err
+	return c.deleteBatchFPs([]uint64{fp})
 }
 
 // PutBatch applies len(keys) Put operations, chunk by chunk: each chunk's
@@ -574,7 +554,8 @@ func (c *CLAM) deleteFP(fp uint64) error {
 // batched insert pipeline, whose flush writes are issued as one overlapped
 // submission — the write-side mirror of GetBatch's two read streams. Final
 // state matches a Put loop exactly (record offsets depend only on append
-// order). ctx is checked between chunks.
+// order, and Put is the same path with one key). ctx is checked between
+// chunks.
 func (c *CLAM) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatch length mismatch: %d keys, %d values", len(keys), len(values))
@@ -616,29 +597,14 @@ func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	if err := c.vlog.AppendBatch(keys, values, offs, ns); err != nil {
 		return err
 	}
-	if c.deadSeen == nil {
-		c.deadSeen = make(map[uint64]uint64, len(fps))
-	} else {
-		clear(c.deadSeen)
-	}
-	for i, fp := range fps {
+	for i := range fps {
 		ptr, ok := core.EncodeValuePtr(offs[i], ns[i])
 		if !ok {
 			return fmt.Errorf("clam: value-log pointer (%d, %d) not encodable", offs[i], ns[i])
 		}
-		// Space accounting: the first occurrence of a fingerprint may kill a
-		// pre-chunk record still in the buffer; later occurrences kill the
-		// previous occurrence's record within this chunk.
-		if prev, dup := c.deadSeen[fp]; dup {
-			if off, n, ok := core.DecodeValuePtr(prev); ok {
-				c.vlog.MarkDead(off, n)
-			}
-		} else {
-			c.markDeadIfBuffered(fp)
-		}
-		c.deadSeen[fp] = ptr
 		ptrs[i] = ptr
 	}
+	c.markDeadChunk(fps, ptrs)
 	if err := c.bh.InsertBatch(fps, ptrs); err != nil {
 		return err
 	}
@@ -742,18 +708,7 @@ func (c *CLAM) deleteBatchFPs(fps []uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.clock.StartWatch()
-	if c.deadSeen == nil {
-		c.deadSeen = make(map[uint64]uint64, len(fps))
-	} else {
-		clear(c.deadSeen)
-	}
-	for _, fp := range fps {
-		if _, dup := c.deadSeen[fp]; dup {
-			continue
-		}
-		c.deadSeen[fp] = 0
-		c.markDeadIfBuffered(fp)
-	}
+	c.markDeadChunk(fps, nil)
 	if err := c.bh.DeleteBatch(fps); err != nil {
 		return err
 	}
@@ -766,12 +721,8 @@ func (c *CLAM) deleteBatchFPs(fps []uint64) error {
 // ContainsU64 reports whether key is present on the fast path. It is
 // GetU64 without returning the value: same probes, same counters.
 func (c *CLAM) ContainsU64(key uint64) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	res, err := c.bh.Lookup(key)
-	c.lookup.Observe(w.Elapsed())
-	return res.Found, err
+	_, found, err := c.GetU64(key)
+	return found, err
 }
 
 // Contains reports whether a record is indexed under key's fingerprint,
@@ -785,17 +736,11 @@ func (c *CLAM) Contains(key []byte) (bool, error) {
 	return c.containsFP(fingerprint(key, c.fpSeed))
 }
 
+// containsFP is an existence-probe chunk of one.
 func (c *CLAM) containsFP(fp uint64) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	res, err := c.bh.Lookup(fp)
-	c.lookup.Observe(w.Elapsed())
-	if err != nil || !res.Found {
-		return false, err
-	}
-	_, _, ok := res.ValuePointer()
-	return ok, nil // an inline (U64-keyed) entry is not a byte-keyed record
+	var found [1]bool
+	err := c.containsBatchFPs([]uint64{fp}, found[:])
+	return found[0], err
 }
 
 // ContainsBatch probes len(keys) keys through the batched index pipeline
@@ -888,10 +833,11 @@ type Stats struct {
 	DeleteLatency metrics.Summary
 	// WriteLatency distributes the per-request virtual service time of the
 	// slow-storage write stream (incarnation image flushes and value-log
-	// page appends, on kind-opened stores): a serial flush pays one full
-	// write per image, while a batched insert's images share command setup
-	// and overlap across the device's queue lanes, each request recording
-	// its share of the submission. Empty on WithCustomDevice stores.
+	// page appends, on kind-opened stores): an image written alone pays one
+	// full write, while the images of one batched insert share command
+	// setup and overlap across the device's queue lanes, each request
+	// recording its share of the submission. Empty on WithCustomDevice
+	// stores.
 	WriteLatency metrics.Summary
 
 	Memory core.MemoryFootprint

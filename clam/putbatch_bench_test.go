@@ -55,3 +55,68 @@ func BenchmarkPutU64SerialLoop(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(keys)), "keys/op")
 }
+
+// BenchmarkPutGetBytesSerialLoop times the per-key byte path on one
+// unsharded CLAM shaped like perfbench's bytes-serial workload (16 MiB
+// flash, 4 MiB memory, 256 MiB value log, 20-byte keys, 256-byte values),
+// prefilled through 256-key PutBatch calls. Each sub-benchmark op is one
+// single-key call, so ns/op is the wall cost of a batch of one.
+func BenchmarkPutGetBytesSerialLoop(b *testing.B) {
+	const (
+		nKeys    = 1 << 16
+		prefill  = 256
+		keyBytes = 20
+		valBytes = 256
+	)
+	open := func(b *testing.B) (*CLAM, [][]byte, [][]byte) {
+		b.Helper()
+		c := openCLAMT(b, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
+			WithValueLog(256<<20))
+		rng := rand.New(rand.NewSource(11))
+		keys, vals := make([][]byte, nKeys), make([][]byte, nKeys)
+		for i := range keys {
+			keys[i], vals[i] = make([]byte, keyBytes), make([]byte, valBytes)
+			rng.Read(keys[i])
+			rng.Read(vals[i])
+		}
+		for at := 0; at < nKeys; at += prefill {
+			if err := c.PutBatch(context.Background(), keys[at:at+prefill], vals[at:at+prefill]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		return c, keys, vals
+	}
+	b.Run("Put", func(b *testing.B) {
+		c, keys, vals := open(b)
+		for i := 0; i < b.N; i++ {
+			if err := c.Put(keys[i%nKeys], vals[(i+1)%nKeys]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Get", func(b *testing.B) {
+		c, keys, _ := open(b)
+		for i := 0; i < b.N; i++ {
+			if _, _, err := c.Get(keys[i%nKeys]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("GetU64", func(b *testing.B) {
+		c, _, _ := open(b)
+		for i := 0; i < b.N; i++ {
+			if _, _, err := c.GetU64(hashutil.Mix64(uint64(i % nKeys))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("PutU64", func(b *testing.B) {
+		c, _, _ := open(b)
+		for i := 0; i < b.N; i++ {
+			if err := c.PutU64(hashutil.Mix64(uint64(i)), uint64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -8,8 +8,9 @@ import (
 	"repro/internal/storage"
 )
 
-// The batched lookup pipeline (the flip side of §5.1.1's one-page-per-probe
-// property): instead of paying one blocking device round-trip per probed
+// The lookup pipeline (the flip side of §5.1.1's one-page-per-probe
+// property). Every lookup runs through it, a single-key Lookup as a batch
+// of one; instead of paying one blocking device round-trip per probed
 // incarnation per key, a batch runs in three phases —
 //
 //	A (memory):  every key's delete-list check, buffer probe and Bloom
@@ -17,22 +18,22 @@ import (
 //	             candidate-incarnation mask per unresolved key. Duplicate
 //	             keys within the batch are memoized: the in-memory work
 //	             runs once per distinct key, while CPU charges and counters
-//	             are still accounted per occurrence, exactly as the serial
-//	             path would.
+//	             are still accounted per occurrence.
 //	B (gather):  each probing round collects every unresolved key's single
 //	             newest-candidate page probe, dedupes keys that land on the
 //	             same flash page, sorts the probes by device address, and
 //	             issues them as one storage.BatchReader submission whose
 //	             virtual latency overlaps across the device's queue lanes.
-//	C (resolve): each key searches its page image with the same
-//	             resolveProbe helper the serial path uses — newest-first,
-//	             stop on hit, identical probe and spurious accounting.
+//	             A page inside an image still awaiting its device write
+//	             (see flushStaged) is served from that image instead.
+//	C (resolve): each key searches its page image with resolveProbe —
+//	             newest-first, stop on hit.
 //
-// Keys still probe incarnations newest-first and stop at the first hit, so
-// the per-key probe sequence — and therefore FlashProbes, SpuriousProbes,
-// Lookups, Hits and LookupIOHist — is exactly what the serial path would
-// produce; only the device time model (and the physical read count, via
-// page dedupe) improves.
+// Keys probe incarnations newest-first and stop at the first hit whatever
+// the batch size, so the per-key probe sequence — and therefore
+// FlashProbes, SpuriousProbes, Lookups, Hits and LookupIOHist — does not
+// depend on how keys are batched; only the device time model (and the
+// physical read count, via page dedupe) improves with larger batches.
 
 // batchKey is the per-key state of an in-flight batched lookup.
 type batchKey struct {
@@ -65,28 +66,29 @@ const pendBits = 20
 // suffices; everything is grown on demand and reused across calls.
 type batchScratch struct {
 	pending []batchKey
-	memo    []memoEntry // direct-mapped, memoSlots entries
-	epoch   uint32      // invalidates memo entries between segments
-	packed  []uint64    // probe words: pageNo<<pendBits | pendingIndex
-	reqs    []storage.ReadReq
+	memo    []memoEntry       // direct-mapped, memoSlots entries
+	epoch   uint32            // invalidates memo entries between segments
+	packed  []uint64          // probe words: pageNo<<pendBits | pendingIndex
+	reqs    []storage.ReadReq // every deduped probe page of a round
+	dev     []storage.ReadReq // the pages not served from staged images
 	arena   []byte
 }
 
 // LookupBatch looks up len(keys) keys through the batched pipeline, writing
 // per-key outcomes into results (which must have the same length). Results
-// and the structural counters match a serial Lookup loop over the same keys
-// key-for-key; virtual time is lower because each probing round's flash
-// reads are deduped, sorted and overlapped through storage.BatchReader
-// (devices without BatchReader fall back to serial reads and still benefit
-// from dedupe and address ordering).
+// and the structural counters match a loop of Lookup calls (batches of one)
+// over the same keys key-for-key; virtual time is lower because each
+// probing round's flash reads are deduped, sorted and overlapped through
+// storage.BatchReader (devices without BatchReader fall back to serial
+// reads and still benefit from dedupe and address ordering).
 //
 // One semantic carve-out, documented rather than hidden: under the LRU
 // policy, re-insertions triggered by flash hits land in the buffer only as
 // each round resolves, so a key appearing twice in one batch may probe
-// flash twice where a serial loop would hit the buffer on its second
-// occurrence. The paper performs LRU re-insertion asynchronously (§5.1.2),
-// so both interleavings are legal; FIFO/UpdateBased/PriorityBased batches
-// are exactly serial-equivalent.
+// flash twice where a loop of single lookups would hit the buffer on its
+// second occurrence. The paper performs LRU re-insertion asynchronously
+// (§5.1.2), so both interleavings are legal; FIFO/UpdateBased/PriorityBased
+// batches are exactly batch-size invariant.
 //
 // On error the contents of results are unspecified.
 func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult) error {
@@ -108,33 +110,24 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 	bs := &b.batch
 	bs.pending = bs.pending[:0]
 
-	// Phase A: resolve everything the DRAM side can answer. CPU costs are
-	// accrued into one deferred charge and applied to the clock in a single
-	// advance — the virtual total is identical to the serial path's
-	// per-key charges, without several clock advances per key. Phase A
-	// performs no mutation, so a distinct key's outcome is computed once
-	// and replayed for duplicates (hot keys of a skewed batch).
-	b.deferCPU = true
+	// Phase A: resolve everything the DRAM side can answer. CPU costs
+	// accrue and land on the clock in one advance before any device read.
+	// Phase A performs no mutation, so a distinct key's outcome is computed
+	// once and replayed for duplicates (hot keys of a skewed batch).
 	b.lookupPhaseA(keys, results)
-	b.deferCPU = false
 	b.settleCPUDebt()
 	if len(bs.pending) == 0 {
 		return nil
 	}
 
 	// All partitions share one probe length (pages are sized by the device
-	// geometry), so a probe is fully described by its page number.
+	// geometry), so a probe is fully described by its page number, and
+	// Config.validate guarantees every page number fits a probe word.
 	_, probeN := b.params[0].PageByteRange(0)
-	if b.cfg.Device.Geometry().Capacity/int64(probeN) >= 1<<(64-pendBits) {
-		// Absurdly large device: packed probe words would overflow. Keep
-		// correctness with the serial path (unreachable in any real config).
-		return b.lookupPendingSerial(results)
-	}
 
 	// Phases B+C: probing rounds. Every round reads at most one page per
 	// pending key (its newest remaining candidate), so the per-key probe
-	// order is the serial newest-first order.
-	br, overlapped := b.cfg.Device.(storage.BatchReader)
+	// order is newest-first.
 	for len(bs.pending) > 0 {
 		// Phase B: gather, sort, dedupe, issue.
 		bs.packed = bs.packed[:0]
@@ -166,11 +159,16 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 			})
 			used += probeN
 		}
-		if overlapped {
-			if _, err := br.ReadBatch(bs.reqs); err != nil {
+		dev := bs.reqs
+		if len(b.staged) > 0 {
+			bs.dev = b.serveStaged(bs.reqs, bs.dev[:0])
+			dev = bs.dev
+		}
+		if b.reader != nil {
+			if _, err := b.reader.ReadBatch(dev); err != nil {
 				return fmt.Errorf("core: batched incarnation read: %w", err)
 			}
-		} else if _, err := storage.ReadBatchFallback(b.cfg.Device, bs.reqs); err != nil {
+		} else if _, err := storage.ReadBatchFallback(b.cfg.Device, dev); err != nil {
 			return fmt.Errorf("core: incarnation read: %w", err)
 		}
 
@@ -219,16 +217,19 @@ func (b *BufferHash) lookupPhaseA(keys []uint64, results []LookupResult) {
 		bs.epoch = 1
 	}
 	cfg := &b.cfg
+	last := len(keys) - 1
 	for i, key := range keys {
+		// The first key has nothing to replay and the last key's outcome is
+		// never replayed, so neither touches the memo.
 		slot := &bs.memo[key&(memoSlots-1)]
-		if slot.epoch == bs.epoch && slot.key == key {
+		if i > 0 && slot.epoch == bs.epoch && slot.key == key {
 			// Duplicate: replay the outcome, charge what st.lookupMem would.
-			addCPU(&b.cpuDebt, cfg.CPU.BufferLookup)
+			b.chargeCPU(cfg.CPU.BufferLookup)
 			if !slot.done && !cfg.DisableBloom {
 				if cfg.DisableBitslice {
-					addCPU(&b.cpuDebt, cfg.CPU.BloomQueryNaive)
+					b.chargeCPU(cfg.CPU.BloomQueryNaive)
 				} else {
-					addCPU(&b.cpuDebt, cfg.CPU.BloomQuery)
+					b.chargeCPU(cfg.CPU.BloomQuery)
 				}
 			}
 			results[i] = slot.res
@@ -241,8 +242,10 @@ func (b *BufferHash) lookupPhaseA(keys []uint64, results []LookupResult) {
 			continue
 		}
 		st, kh := b.route(key)
-		res, mask, done := st.lookupMem(kh, &b.cpuDebt)
-		*slot = memoEntry{key: key, epoch: bs.epoch, done: done, mask: mask, res: res}
+		res, mask, done := st.lookupMem(kh)
+		if i < last {
+			*slot = memoEntry{key: key, epoch: bs.epoch, done: done, mask: mask, res: res}
+		}
 		results[i] = res
 		if !done && mask != 0 {
 			bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
@@ -252,24 +255,16 @@ func (b *BufferHash) lookupPhaseA(keys []uint64, results []LookupResult) {
 	}
 }
 
-// lookupPendingSerial drains the pending set with serial page reads — the
-// degenerate fallback for devices too large for packed probe words.
-func (b *BufferHash) lookupPendingSerial(results []LookupResult) error {
-	for _, p := range b.batch.pending {
-		res := &results[p.idx]
-		for mask := p.mask; mask != 0; {
-			j := bits.Len64(mask) - 1
-			mask &^= 1 << j
-			page, err := b.readProbe(p.st, p.st.incs[j], p.kh)
-			if err != nil {
-				return err
-			}
-			if p.st.resolveProbe(res, page, p.kh) {
-				break
-			}
+// serveStaged fills every probe page that lies inside an image awaiting
+// its device write from that image, and appends the other requests to dev
+// for the device. Images are whole pages, so a page is inside one or not.
+func (b *BufferHash) serveStaged(reqs, dev []storage.ReadReq) []storage.ReadReq {
+	for _, r := range reqs {
+		if img, start := b.stagedImage(r.Off); img != nil {
+			copy(r.P, img[r.Off-start:])
+			continue
 		}
-		b.stats.recordLookup(*res)
+		dev = append(dev, r)
 	}
-	b.batch.pending = b.batch.pending[:0]
-	return nil
+	return dev
 }

@@ -27,6 +27,7 @@ type LookupResult struct {
 type BufferHash struct {
 	cfg    Config
 	layout Layout
+	reader storage.BatchReader // cfg.Device as a BatchReader, or nil
 	parts  []*superTable
 	params []cuckoo.Params // per-partition cuckoo parameters
 	stats  Stats
@@ -41,30 +42,26 @@ type BufferHash struct {
 
 	imageSize int
 	imgPool   [][]byte // free image-sized buffers (flush serialization, eviction scans)
-	pageBuf   []byte
 	batch     batchScratch
 	insert    insertScratch
 
-	// deferWrites redirects incarnation writes into `staged` instead of the
-	// device (InsertBatch phase B); staged images are address-sorted and
-	// issued as one overlapped BatchWriter submission at the end of the
-	// batch. While a write is staged, readImage serves its address from the
-	// staged buffer, so partial-discard scans inside the same batch see the
-	// bytes the device will eventually hold.
-	deferWrites bool
-	staged      []stagedWrite
+	// staged holds every flushed image not yet on the device. A flush
+	// serializes its image here; the op that triggered it submits the lot
+	// as one address-sorted overlapped BatchWriter submission. Until a
+	// submission succeeds, the staged buffer is the readable copy of its
+	// incarnation: readImage and LookupBatch serve its addresses from it.
+	staged []stagedWrite
 
-	// deferCPU batches chargeCPU calls into cpuDebt, which the batched
-	// pipelines land on the clock in one advance (settleCPUDebt). cpuDebt
-	// is a plain field: only the goroutine running the batch touches it.
-	deferCPU bool
-	cpuDebt  time.Duration
+	// cpuDebt accrues chargeCPU costs; every op lands it on the clock in
+	// one advance (settleCPUDebt) before its device submission. It is a
+	// plain field: only the goroutine running the op touches it.
+	cpuDebt time.Duration
 
 	// routeSeed is Mix64(cfg.Seed), the seed half of routeHash, mixed once.
 	routeSeed uint64
 }
 
-// stagedWrite is one deferred incarnation write.
+// stagedWrite is one incarnation image awaiting its device write.
 type stagedWrite struct {
 	buf  []byte
 	addr int64
@@ -83,6 +80,7 @@ func New(cfg Config) (*BufferHash, error) {
 		routeSeed: hashutil.Mix64(cfg.Seed),
 	}
 	nt := cfg.NumSuperTables()
+	b.reader, _ = cfg.Device.(storage.BatchReader)
 	b.params = make([]cuckoo.Params, nt)
 	pageSlots := cfg.Device.Geometry().PageSize / hashutil.EntrySize
 	for i := range b.params {
@@ -107,7 +105,6 @@ func New(cfg Config) (*BufferHash, error) {
 			b.slotOwner[i] = -1
 		}
 	}
-	b.pageBuf = make([]byte, cfg.Device.Geometry().PageSize)
 	return b, nil
 }
 
@@ -146,11 +143,12 @@ func (b *BufferHash) releaseImage(img []byte) {
 	}
 }
 
-// stageWrite defers an incarnation write until the end of the insert
-// batch. A second image staged at the same address replaces the first: the
-// slot was recycled within the batch, so the earlier image is dead, nothing
-// can read it anymore, and on raw flash the slot's erase has already been
-// issued for the newer image.
+// stageWrite queues an incarnation image for the op's device submission.
+// A second image staged at the same address replaces the first: the slot
+// was recycled, so the earlier image is dead, nothing can read it anymore,
+// and on raw flash the slot's erase has already been issued for the newer
+// image. This also drops a pending image from a failed submission once its
+// slot is reused.
 func (b *BufferHash) stageWrite(img []byte, addr int64) {
 	for i := range b.staged {
 		if b.staged[i].addr == addr {
@@ -162,9 +160,26 @@ func (b *BufferHash) stageWrite(img []byte, addr int64) {
 	b.staged = append(b.staged, stagedWrite{buf: img, addr: addr})
 }
 
-// flushStaged issues every staged incarnation write as one address-sorted
-// overlapped submission through the device's BatchWriter (plain devices
-// fall back to a sorted serial loop) and recycles the image buffers.
+// stagedImage returns the pending image that holds device address addr,
+// or nil if no staged image covers it.
+func (b *BufferHash) stagedImage(addr int64) (img []byte, start int64) {
+	for _, s := range b.staged {
+		if addr >= s.addr && addr < s.addr+int64(len(s.buf)) {
+			return s.buf, s.addr
+		}
+	}
+	return nil, 0
+}
+
+// flushStaged issues every staged image as one address-sorted overlapped
+// submission through the device's BatchWriter (plain devices fall back to
+// a sorted serial loop) and recycles the written buffers.
+//
+// The failure rule: when the submission fails, its images were never
+// written (the device models check faults before writing anything), so
+// they stay in staged as the readable copy of their incarnations. The
+// failing op returns the error with its entries applied and readable, and
+// the next InsertBatch or Flush submits the images again.
 func (b *BufferHash) flushStaged() error {
 	if len(b.staged) == 0 {
 		return nil
@@ -180,40 +195,30 @@ func (b *BufferHash) flushStaged() error {
 	} else {
 		_, err = storage.WriteBatchFallback(b.cfg.Device, is.reqs)
 	}
-	for _, s := range b.staged {
-		b.releaseImage(s.buf)
-	}
-	b.staged = b.staged[:0]
+	clear(is.reqs)
 	if err != nil {
 		return fmt.Errorf("core: batched incarnation write: %w", err)
 	}
+	for _, s := range b.staged {
+		b.releaseImage(s.buf)
+	}
+	clear(b.staged)
+	b.staged = b.staged[:0]
 	return nil
 }
 
-// chargeCPU advances the virtual clock by a CPU cost. During a batched
-// pipeline the charges accrue into cpuDebt instead and land in one deferred
-// advance: the same virtual total, far fewer clock advances.
+// chargeCPU accrues a CPU cost into cpuDebt, ignoring non-positive costs.
+// Every op settles the debt before its device submission, so the clock
+// lands on the same virtual total whatever the batch size, in far fewer
+// advances.
 func (b *BufferHash) chargeCPU(d time.Duration) {
-	if b.deferCPU {
-		addCPU(&b.cpuDebt, d)
-		return
-	}
 	if d > 0 {
-		b.cfg.Clock.Advance(d)
+		b.cpuDebt += d
 	}
 }
 
-// addCPU accrues a CPU cost into a deferred sum. Like chargeCPU it ignores
-// non-positive costs, so a sum settles to exactly what charging each cost
-// on its own would have advanced the clock by.
-func addCPU(debt *time.Duration, d time.Duration) {
-	if d > 0 {
-		*debt += d
-	}
-}
-
-// settleCPUDebt lands the accumulated deferred CPU charges on the clock in
-// one advance (the batched pipelines' phase-C closing step).
+// settleCPUDebt lands the accumulated CPU charges on the clock in one
+// advance.
 func (b *BufferHash) settleCPUDebt() {
 	if d := b.cpuDebt; d > 0 {
 		b.cpuDebt = 0
@@ -240,11 +245,9 @@ func (b *BufferHash) route(key uint64) (*superTable, uint64) {
 	return b.parts[p], kh
 }
 
-// Insert adds or updates a (key, value) mapping.
+// Insert adds or updates a (key, value) mapping: an InsertBatch of one.
 func (b *BufferHash) Insert(key, value uint64) error {
-	st, kh := b.route(key)
-	b.stats.Inserts++
-	return st.insert(kh, value)
+	return b.InsertBatch([]uint64{key}, []uint64{value})
 }
 
 // Update is insertion with lazy-update semantics (§5.1.1): the new value
@@ -256,74 +259,59 @@ func (b *BufferHash) Update(key, value uint64) error {
 
 // Delete lazily removes a key (§5.1.1): it is dropped from the buffer if
 // still there and recorded in the in-memory delete list; flash space is
-// reclaimed at eviction time.
+// reclaimed at eviction time. It is a DeleteBatch of one.
 func (b *BufferHash) Delete(key uint64) error {
-	st, kh := b.route(key)
-	b.stats.Deletes++
-	st.del(kh)
-	return nil
+	return b.DeleteBatch([]uint64{key})
 }
 
-// Lookup returns the latest value for key.
+// Lookup returns the latest value for key: a LookupBatch of one.
 func (b *BufferHash) Lookup(key uint64) (LookupResult, error) {
-	st, kh := b.route(key)
-	res, err := st.lookup(kh)
-	if err != nil {
-		return res, err
-	}
-	b.stats.recordLookup(res)
-	return res, nil
+	var res [1]LookupResult
+	err := b.LookupBatch([]uint64{key}, res[:])
+	return res[0], err
 }
 
 // Flush forces every super table with buffered entries to write its buffer
-// to flash. Mainly useful in tests and when quiescing.
+// to flash, and submits any images a failed write left pending. Each
+// flushed table settles its CPU cost and submits its images before the
+// next table flushes. Mainly useful in tests and when quiescing.
 func (b *BufferHash) Flush() error {
 	for _, st := range b.parts {
-		if st.buf.Len() > 0 {
-			if err := st.flush(); err != nil {
-				return err
-			}
+		if st.buf.Len() == 0 {
+			continue
+		}
+		err := st.flush()
+		b.settleCPUDebt()
+		if werr := b.flushStaged(); err == nil {
+			err = werr
+		}
+		if err != nil {
+			return err
 		}
 	}
-	return nil
+	return b.flushStaged()
 }
 
 // probeAddr returns the device address and length of the single flash page
-// that can hold kh within an incarnation of st (§5.1.1). Both the serial
-// and batched lookup paths compute probe targets through here.
+// that can hold kh within an incarnation of st (§5.1.1); every lookup's
+// probe targets come from here.
 func (b *BufferHash) probeAddr(st *superTable, inc incarnation, kh uint64) (addr int64, n int) {
 	off, n := b.params[st.idx].PageByteRange(st.buf.PageIndex(kh))
 	return inc.addr + int64(off), n
 }
 
-// readProbe reads kh's page of one incarnation image into the shared page
-// buffer (serial lookup path; the batched path reads through a
-// storage.BatchReader instead).
-func (b *BufferHash) readProbe(st *superTable, inc incarnation, kh uint64) ([]byte, error) {
-	addr, n := b.probeAddr(st, inc, kh)
-	buf := b.pageBuf[:n]
-	if _, err := b.cfg.Device.ReadAt(buf, addr); err != nil {
-		return nil, fmt.Errorf("core: incarnation read: %w", err)
-	}
-	return buf, nil
-}
-
 // readImage reads a whole incarnation image (partial-discard scan path)
 // into a pooled buffer owned by the caller, who returns it with
 // releaseImage when the scan is done. Each call gets a distinct buffer, so
-// an image stays valid across interleaved flushes and further reads.
-// During a batched insert, an address whose write is still staged is
-// served from the staged buffer — the bytes the device will hold once the
-// batch issues — without a device read.
+// an image stays valid across interleaved flushes and further reads. An
+// address whose image is still staged is served from the staged buffer —
+// the bytes the device will hold once the image is written — without a
+// device read.
 func (b *BufferHash) readImage(addr int64) ([]byte, error) {
 	img := b.acquireImage()
-	if b.deferWrites {
-		for i := range b.staged {
-			if b.staged[i].addr == addr {
-				copy(img, b.staged[i].buf)
-				return img, nil
-			}
-		}
+	if staged, start := b.stagedImage(addr); staged != nil && start == addr {
+		copy(img, staged)
+		return img, nil
 	}
 	if _, err := b.cfg.Device.ReadAt(img, addr); err != nil {
 		b.releaseImage(img)
@@ -381,7 +369,7 @@ func (b *BufferHash) Len() int {
 // MemoryFootprint reports the DRAM consumed by the structure, split by
 // component (used to validate the §6.4 memory budget).
 type MemoryFootprint struct {
-	BufferBytes     int64 // all cuckoo buffers
+	BufferBytes     int64 // all cuckoo buffers, plus images awaiting their device write
 	BloomBytes      int64 // all filter banks: incarnation rows plus staging filters
 	DeleteListBytes int64 // approximate
 	MetadataBytes   int64 // incarnation bookkeeping
@@ -411,6 +399,7 @@ func (b *BufferHash) MemoryFootprint() MemoryFootprint {
 		m.DeleteListBytes += int64(len(st.deleteList)) * 16
 		m.MetadataBytes += int64(len(st.incs)) * 16
 	}
+	m.BufferBytes += int64(len(b.staged)) * int64(b.imageSize)
 	return m
 }
 

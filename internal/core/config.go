@@ -12,25 +12,22 @@
 // access. This mirrors the paper's design point that flash I/Os are
 // blocking operations (§5.2).
 //
-// Lookups come in two shapes sharing one probe-resolution path. Lookup is
-// the paper's serial walk: buffer, Bloom filters, then one blocking page
-// read per candidate incarnation, newest first. LookupBatch runs the same
-// logic as a three-phase pipeline — phase A answers every key's in-memory
-// portion with zero I/O, phase B gathers each probing round's page reads,
-// dedupes same-page keys, sorts by device address and submits them through
+// Every operation runs one pipeline, and a single-key call is a batch of
+// one. LookupBatch answers every key's in-memory portion with zero I/O
+// (phase A), gathers each probing round's page reads, dedupes same-page
+// keys, sorts them by device address and submits them through
 // storage.BatchReader so their virtual latency overlaps across the
-// device's queue lanes, and phase C resolves pages with exactly the serial
-// path's newest-first, stop-on-hit semantics. Counters are identical
-// between the two paths; only time (and physical read count, via dedupe)
-// differs. See batch.go.
+// device's queue lanes (phase B), and resolves pages newest-first, stopping
+// on a hit (phase C). See batch.go. InsertBatch applies its keys in input
+// order with flush writes staged into pooled image buffers, then issues
+// them as one address-sorted storage.BatchWriter submission. See
+// insertbatch.go. Results and counters do not depend on how keys are
+// batched; only virtual time (and the physical I/O count) improves with
+// larger batches.
 //
-// Inserts mirror that shape. Insert is the serial path: buffer update,
-// with a full buffer flushed to flash as a blocking incarnation write.
-// InsertBatch applies a whole batch with flush writes deferred into pooled
-// image buffers, then issues them as one address-sorted storage.BatchWriter
-// submission whose service overlaps across the device's queue lanes —
-// state and structural counters stay byte-identical to the serial loop.
-// See insertbatch.go.
+// A flush image whose device write fails stays staged and readable until a
+// later InsertBatch or Flush writes it, so a failed write never exposes
+// the older bytes its slot held.
 package core
 
 import (
@@ -216,6 +213,13 @@ func (c *Config) validate() error {
 	}
 	if c.Policy == PriorityBased && c.Retain == nil {
 		return fmt.Errorf("core: PriorityBased eviction requires a Retain callback")
+	}
+	// LookupBatch packs a probe's page number next to a pending index in
+	// one 64-bit word, which caps the device at about 32 PiB of 2 KiB pages.
+	probe := int64(g.PageSize / hashutil.EntrySize * hashutil.EntrySize)
+	if probe > 0 && g.Capacity/probe >= 1<<(64-pendBits) {
+		return fmt.Errorf("core: device capacity %d overflows the lookup probe word at %d B pages",
+			g.Capacity, probe)
 	}
 	need := int64(c.NumSuperTables()) * int64(c.NumIncarnations) * int64(c.BufferBytes)
 	if need > g.Capacity {

@@ -55,6 +55,9 @@ func TestConfigValidation(t *testing.T) {
 		{"capacity too small", func(c *Config) { c.NumIncarnations = 64 }},
 		{"priority without retain", func(c *Config) { c.Policy = PriorityBased }},
 		{"huge partitions", func(c *Config) { c.PartitionBits = 30 }},
+		// 2^44 pages of 2 KiB (32 PiB): a probe's page number no longer
+		// fits beside the pending index in LookupBatch's probe word.
+		{"probe word overflow", func(c *Config) { c.Device = hugeDevice{pages: 1 << 44} }},
 	}
 	for _, tc := range cases {
 		cfg := good
@@ -66,6 +69,21 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(good); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
+	good.Device = hugeDevice{pages: 1<<44 - 1}
+	if _, err := New(good); err != nil {
+		t.Fatalf("largest probe-addressable device rejected: %v", err)
+	}
+}
+
+// hugeDevice is a stub device of the given number of 2 KiB pages; it only
+// answers Geometry, which is all Config.validate and New consult.
+type hugeDevice struct{ pages int64 }
+
+func (h hugeDevice) ReadAt(b []byte, off int64) (time.Duration, error)  { return 0, nil }
+func (h hugeDevice) WriteAt(b []byte, off int64) (time.Duration, error) { return 0, nil }
+func (h hugeDevice) Counters() storage.Counters                         { return storage.Counters{} }
+func (h hugeDevice) Geometry() storage.Geometry {
+	return storage.Geometry{Capacity: h.pages << 11, PageSize: 2048}
 }
 
 func TestInsertLookupInBuffer(t *testing.T) {

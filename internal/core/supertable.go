@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"repro/internal/cuckoo"
@@ -99,17 +98,15 @@ func (st *superTable) evictOldestExternal(seq uint64) {
 
 // lookupMem is the in-memory phase of a lookup (phase A of the pipeline):
 // every step that needs no flash I/O. It consults the delete list, the
-// buffer and the Bloom bank, adds its CPU costs to *debt, and returns the
+// buffer and the Bloom bank, charges its CPU costs, and returns the
 // candidate-incarnation mask for the flash phase (bit j set = window offset
 // j may hold the key). done reports the lookup resolved without I/O; a zero
 // mask with done == false is a clean miss (Bloom filters excluded every
-// incarnation). Serial lookups and LookupBatch share this path exactly, so
-// CPU charges and Bloom behaviour cannot drift apart. Every step is a pure
-// read of the super table, which is what lets LookupBatch replay a
-// duplicate key's outcome from its memo.
-func (st *superTable) lookupMem(kh uint64, debt *time.Duration) (res LookupResult, mask uint64, done bool) {
+// incarnation). Every step is a pure read of the super table, which is what
+// lets LookupBatch replay a duplicate key's outcome from its memo.
+func (st *superTable) lookupMem(kh uint64) (res LookupResult, mask uint64, done bool) {
 	cfg := &st.owner.cfg
-	addCPU(debt, cfg.CPU.BufferLookup)
+	st.owner.chargeCPU(cfg.CPU.BufferLookup)
 
 	if _, deleted := st.deleteList[kh]; deleted {
 		return res, 0, true
@@ -125,17 +122,19 @@ func (st *superTable) lookupMem(kh uint64, debt *time.Duration) (res LookupResul
 		return res, valid, false
 	}
 	if cfg.DisableBitslice {
-		addCPU(debt, cfg.CPU.BloomQueryNaive)
+		st.owner.chargeCPU(cfg.CPU.BloomQueryNaive)
 	} else {
-		addCPU(debt, cfg.CPU.BloomQuery)
+		st.owner.chargeCPU(cfg.CPU.BloomQuery)
 	}
 	return res, st.bank.Query(kh) & valid, false
 }
 
-// resolveProbe is the probe-resolution step shared by the serial and
-// batched lookup paths (phase C of the pipeline): account one incarnation
-// page probe, search the page image for kh, and on a hit apply the
-// LRU re-insertion semantics. It reports whether the key was found.
+// resolveProbe is the probe-resolution step of a lookup (phase C of the
+// pipeline): account one incarnation page probe, search the page image for
+// kh, and on a hit apply the LRU re-insertion semantics. It reports whether
+// the key was found. Probes run newest-first and stop on a hit, one page
+// per probing round, so a key's probe sequence does not depend on the size
+// of the batch it arrives in.
 func (st *superTable) resolveProbe(res *LookupResult, pageImage []byte, kh uint64) bool {
 	st.owner.stats.FlashProbes++
 	res.FlashReads++
@@ -149,31 +148,6 @@ func (st *superTable) resolveProbe(res *LookupResult, pageImage []byte, kh uint6
 		st.reinsertLRU(kh, v)
 	}
 	return true
-}
-
-// lookup implements §5.1.1: buffer first, then incarnations newest-first,
-// reading one flash page per probed incarnation. It is lookupMem followed
-// by a serial walk over the candidate mask through resolveProbe — the same
-// two helpers the batched pipeline composes with overlapped I/O.
-func (st *superTable) lookup(kh uint64) (LookupResult, error) {
-	var debt time.Duration
-	res, mask, done := st.lookupMem(kh, &debt)
-	st.owner.chargeCPU(debt) // one advance, before any device read
-	if done {
-		return res, nil
-	}
-	for mask != 0 {
-		j := bits.Len64(mask) - 1 // newest remaining candidate
-		mask &^= 1 << j
-		page, err := st.owner.readProbe(st, st.incs[j], kh)
-		if err != nil {
-			return res, err
-		}
-		if st.resolveProbe(&res, page, kh) {
-			return res, nil
-		}
-	}
-	return res, nil
 }
 
 // reinsertLRU re-inserts an item used from flash so it survives the next
@@ -197,30 +171,24 @@ func (st *superTable) reinsertLRU(kh, v uint64) {
 // flushed to flash as a new incarnation first.
 func (st *superTable) insert(kh, v uint64) error {
 	cfg := &st.owner.cfg
-	// The insert's CPU costs land in one charge, except that a flush first
-	// lands the costs before it: its device I/O reads the clock.
-	var debt time.Duration
-	addCPU(&debt, cfg.CPU.BufferInsert)
+	st.owner.chargeCPU(cfg.CPU.BufferInsert)
 	if len(st.deleteList) > 0 {
 		delete(st.deleteList, kh) // a fresh insert revives a deleted key
 	}
 
 	err := st.buf.Insert(kh, v)
 	if err == cuckoo.ErrFull {
-		st.owner.chargeCPU(debt)
-		debt = 0
 		if err := st.flush(); err != nil {
 			return err
 		}
 		err = st.buf.Insert(kh, v)
 	}
-	if err == nil && st.bank != nil {
-		addCPU(&debt, cfg.CPU.BloomAdd)
-		st.bank.AddStaging(kh)
-	}
-	st.owner.chargeCPU(debt)
 	if err != nil {
 		return fmt.Errorf("core: buffer insert: %w", err)
+	}
+	if st.bank != nil {
+		st.owner.chargeCPU(cfg.CPU.BloomAdd)
+		st.bank.AddStaging(kh)
 	}
 	return nil
 }
@@ -371,9 +339,8 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 }
 
 // writeBufferAsIncarnation serializes the buffer into a pooled image
-// buffer, writes it to the device at a layout-chosen address — or stages
-// the write for the batch-end overlapped submission when the owner is in a
-// batched insert — rotates the Bloom bank, and resets the buffer.
+// buffer, stages it at a layout-chosen address for the op's overlapped
+// device submission, rotates the Bloom bank, and resets the buffer.
 func (st *superTable) writeBufferAsIncarnation() error {
 	cfg := &st.owner.cfg
 	st.owner.chargeCPU(cfg.CPU.FlushSerialize)
@@ -383,15 +350,7 @@ func (st *superTable) writeBufferAsIncarnation() error {
 	}
 	img := st.owner.acquireImage()
 	st.buf.Serialize(img)
-	if st.owner.deferWrites {
-		st.owner.stageWrite(img, addr)
-	} else {
-		_, werr := cfg.Device.WriteAt(img, addr)
-		st.owner.releaseImage(img)
-		if werr != nil {
-			return fmt.Errorf("core: incarnation write: %w", werr)
-		}
-	}
+	st.owner.stageWrite(img, addr)
 	if st.bank != nil {
 		st.bank.Rotate()
 	}

@@ -75,15 +75,15 @@ func sortByOff[T any](reqs []T, off func(T) int64) {
 // lane this is the plain sum. svc is consumed in order, so callers pass the
 // address-sorted (and sequential-run-discounted) service times.
 func OverlapLanes(svc []time.Duration, lanes int) time.Duration {
+	if lanes > len(svc) {
+		lanes = len(svc)
+	}
 	if lanes <= 1 {
 		var sum time.Duration
 		for _, s := range svc {
 			sum += s
 		}
 		return sum
-	}
-	if lanes > len(svc) {
-		lanes = len(svc)
 	}
 	var laneBuf [32]time.Duration // avoids a heap lane slice for real queue depths
 	var lane []time.Duration
