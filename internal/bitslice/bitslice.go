@@ -17,9 +17,13 @@
 //     ring position (start+j) mod k holds window offset j (0 = oldest …
 //     k-1 = newest). Query ANDs the h lanes and ring-rotates the result
 //     once by start to return window offsets.
-//   - Staging. The buffer's filter is a separate m-bit bitmap (m/8 bytes),
-//     small enough to stay cache-resident; AddStaging and QueryStaging
-//     touch only it.
+//   - Staging. The buffer's filter is a separate m-bit bitmap (m/8 bytes);
+//     AddStaging, AddStagingKeys and QueryStaging touch only it. It need
+//     not be current after every insert: only Rotate and QueryStaging read
+//     it, and setting bits is a set union. So a super table ORs its
+//     buffered keys in with one AddStagingKeys pass just before either
+//     read, while the bitmap stays cache-resident, and gets the bits an
+//     AddStaging per insert would have set.
 //   - Rotate. One sequential pass writes staging bit p into bit start of
 //     row p, overwriting the evicted oldest incarnation's column, then
 //     clears the bitmap and advances start. That is m/(64/lane) word
@@ -30,11 +34,12 @@
 //
 // What this keeps from §5.1.3: one word operation per hash function on a
 // query, and a sliding start instead of shifting rows on eviction. What it
-// changes: the staging filter lives outside the rows, so an insert sets h
-// bits of a small bitmap instead of writing h random rows; and eviction
-// is folded into the one transpose pass at Rotate instead of the paper's
-// lazy word-at-a-time clearing of a padded window, so no row carries
-// padding beyond its lane.
+// changes: the staging filter lives outside the rows and is filled from
+// the buffer's keys when they are about to be read, so a key sets h bits
+// of a small bitmap once, in a batched pass, instead of writing h random
+// rows on insert; and eviction is folded into the one transpose pass at
+// Rotate instead of the paper's lazy word-at-a-time clearing of a padded
+// window, so no row carries padding beyond its lane.
 package bitslice
 
 import (
@@ -124,6 +129,25 @@ func (b *Bank) AddStaging(keyHash uint64) {
 		p := hashutil.Reduce(h1, b.m)
 		b.staging[p>>6] |= 1 << (p & 63)
 		h1 += h2
+	}
+}
+
+// AddStagingKeys adds every non-zero key of keys to the staging filter:
+// the bits of a loop of AddStaging over them. Zero keys are skipped, so a
+// cuckoo table's slot array, whose empty slots hold zero, can be passed
+// as it is.
+func (b *Bank) AddStagingKeys(keys []uint64) {
+	staging, m, h := b.staging, b.m, b.h
+	for _, kh := range keys {
+		if kh == 0 {
+			continue
+		}
+		h1, h2 := kh, hashutil.Mix64(kh)|1
+		for i := 0; i < h; i++ {
+			p := hashutil.Reduce(h1, m)
+			staging[p>>6] |= 1 << (p & 63)
+			h1 += h2
+		}
 	}
 }
 

@@ -119,6 +119,67 @@ func TestEquivalenceWithNaiveBank(t *testing.T) {
 	}
 }
 
+func TestAddStagingKeysMatchesAddStaging(t *testing.T) {
+	// Property: one AddStagingKeys pass over a slot array with zero holes
+	// sets the staging bits of a loop of AddStaging over its non-zero keys,
+	// so every later QueryStaging, rotation and Query agrees. Each round
+	// stages a fresh slot array (the empty and all-zero arrays included)
+	// and rotates, so the rows fill and the ring wraps. The m values cover
+	// both reductions, the mask at a power of two (one below a word) and
+	// fastrange otherwise.
+	for _, m := range []uint64{32, 1 << 12, 1000, 65521} {
+		for _, k := range []int{1, 8, 9, 33} {
+			batched, looped := NewBank(m, k, 7), NewBank(m, k, 7)
+			rng := rand.New(rand.NewSource(int64(m)*31 + int64(k)))
+			var held []uint64
+			for round := 0; round < 2*k+3; round++ {
+				var slots []uint64
+				switch round {
+				case 0:
+				case 1:
+					slots = make([]uint64, 64)
+				default: // about half the slots hold a key, as in a cuckoo buffer
+					slots = make([]uint64, 1+rng.Intn(512))
+					for i := range slots {
+						if rng.Intn(2) == 0 {
+							slots[i] = rng.Uint64() | 1
+						}
+					}
+				}
+				batched.AddStagingKeys(slots)
+				for _, kh := range slots {
+					if kh != 0 {
+						looped.AddStaging(kh)
+						held = append(held, kh)
+					}
+				}
+				probes := []uint64{rng.Uint64(), rng.Uint64()}
+				if len(held) > 0 {
+					probes = append(probes, held[len(held)-1], held[rng.Intn(len(held))])
+				}
+				for _, p := range probes {
+					if got, want := batched.QueryStaging(p), looped.QueryStaging(p); got != want {
+						t.Fatalf("m=%d k=%d round %d: QueryStaging(%#x) = %v, want %v", m, k, round, p, got, want)
+					}
+				}
+				batched.Rotate()
+				looped.Rotate()
+				for i := range looped.rows {
+					if batched.rows[i] != looped.rows[i] {
+						t.Fatalf("m=%d k=%d round %d: row word %d = %#x, want %#x",
+							m, k, round, i, batched.rows[i], looped.rows[i])
+					}
+				}
+				for _, p := range probes {
+					if got, want := batched.Query(p), looped.Query(p); got != want {
+						t.Fatalf("m=%d k=%d round %d: Query(%#x) = %#x, want %#x", m, k, round, p, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestConcurrentQueryWithMatchesSerial(t *testing.T) {
 	// Concurrent readers on a frozen bank must see exactly the serial
 	// answers: Query writes nothing the bank owns.
@@ -440,3 +501,49 @@ func BenchmarkBankQueryShipped(b *testing.B) {
 }
 
 var sinkMask uint64
+
+// BenchmarkStaging times filling the staging filters of one shard's super
+// tables at the shipped geometry (4 tables per shard, each with a
+// 4096-entry buffer): PerInsert adds each key as it arrives, to a table
+// chosen at random; AtFlush adds each table's buffered keys in one
+// AddStagingKeys pass over its slot array, half of whose slots are empty.
+// ns/key is the cost per staged key.
+func BenchmarkStaging(b *testing.B) {
+	const tables = 4
+	rng := rand.New(rand.NewSource(1))
+	banks := make([]*Bank, tables)
+	slots := make([][]uint64, tables)
+	type arrival struct {
+		table int
+		kh    uint64
+	}
+	var arrivals []arrival
+	for t := range banks {
+		banks[t] = NewBank(shippedM, shippedK, shippedH)
+		slots[t] = make([]uint64, 2*shippedPerBuf)
+		for _, i := range rng.Perm(2 * shippedPerBuf)[:shippedPerBuf] {
+			slots[t][i] = rng.Uint64() | 1
+			arrivals = append(arrivals, arrival{t, slots[t][i]})
+		}
+	}
+	rng.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
+	perKey := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(arrivals)), "ns/key")
+	}
+	b.Run("PerInsert", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, a := range arrivals {
+				banks[a.table].AddStaging(a.kh)
+			}
+		}
+		perKey(b)
+	})
+	b.Run("AtFlush", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for t, bank := range banks {
+				bank.AddStagingKeys(slots[t])
+			}
+		}
+		perKey(b)
+	})
+}

@@ -15,6 +15,9 @@ import (
 // filters).
 type filterBank interface {
 	AddStaging(keyHash uint64)
+	// AddStagingKeys adds every non-zero key of keys to the staging
+	// filter.
+	AddStagingKeys(keys []uint64)
 	QueryStaging(keyHash uint64) bool
 	// Query only reads the bank.
 	Query(keyHash uint64) uint64
@@ -48,6 +51,14 @@ func newNaiveBank(m uint64, k, h int) *naiveBank {
 }
 
 func (n *naiveBank) AddStaging(kh uint64) { n.staging.Add(kh) }
+
+func (n *naiveBank) AddStagingKeys(keys []uint64) {
+	for _, kh := range keys {
+		if kh != 0 {
+			n.staging.Add(kh)
+		}
+	}
+}
 
 func (n *naiveBank) QueryStaging(kh uint64) bool { return n.staging.MayContain(kh) }
 

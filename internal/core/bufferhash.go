@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bitslice"
@@ -175,35 +177,46 @@ func (b *BufferHash) stagedImage(addr int64) (img []byte, start int64) {
 // submission through the device's BatchWriter (plain devices fall back to
 // a sorted serial loop) and recycles the written buffers.
 //
-// The failure rule: when the submission fails, its images were never
-// written (the device models check faults before writing anything), so
-// they stay in staged as the readable copy of their incarnations. The
-// failing op returns the error with its entries applied and readable, and
-// the next InsertBatch or Flush submits the images again.
+// The failure rule: an image whose write fails stays in staged as the
+// readable copy of its incarnation. A BatchWriter submission that fails
+// wrote nothing (the device models check faults before writing anything),
+// so all its images stay; the serial fallback stops at its first failing
+// write, so the images it landed before that are released and only the
+// rest stay. The failing op returns the error with its entries applied and
+// readable, and the next InsertBatch or Flush submits the staged images
+// again.
 func (b *BufferHash) flushStaged() error {
 	if len(b.staged) == 0 {
 		return nil
 	}
+	// In address order, staged matches the order both the BatchWriter and
+	// the fallback write in, so the images that landed are a prefix.
+	slices.SortFunc(b.staged, func(x, y stagedWrite) int { return cmp.Compare(x.addr, y.addr) })
 	is := &b.insert
 	is.reqs = is.reqs[:0]
 	for _, s := range b.staged {
 		is.reqs = append(is.reqs, storage.WriteReq{P: s.buf, Off: s.addr})
 	}
+	landed := len(is.reqs)
 	var err error
 	if bw, ok := b.cfg.Device.(storage.BatchWriter); ok {
-		_, err = bw.WriteBatch(is.reqs)
+		if _, err = bw.WriteBatch(is.reqs); err != nil {
+			landed = 0
+		}
 	} else {
-		_, err = storage.WriteBatchFallback(b.cfg.Device, is.reqs)
+		landed, _, err = storage.WriteBatchFallback(b.cfg.Device, is.reqs)
 	}
 	clear(is.reqs)
+	// Release the images that reached the device; the rest stay staged.
+	for _, s := range b.staged[:landed] {
+		b.releaseImage(s.buf)
+	}
+	n := copy(b.staged, b.staged[landed:])
+	clear(b.staged[n:])
+	b.staged = b.staged[:n]
 	if err != nil {
 		return fmt.Errorf("core: batched incarnation write: %w", err)
 	}
-	for _, s := range b.staged {
-		b.releaseImage(s.buf)
-	}
-	clear(b.staged)
-	b.staged = b.staged[:0]
 	return nil
 }
 

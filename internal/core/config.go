@@ -99,11 +99,14 @@ const (
 // CPUCosts models the in-memory computation costs charged to the virtual
 // clock. Defaults are calibrated so that the paper's headline averages
 // (≈0.006 ms inserts, ≈0.06 ms lookups at 40% LSR on the Intel SSD, §7.2.1)
-// are reproduced.
+// are reproduced. The charges follow the paper's operations, not the
+// implementation's schedule: BloomAdd is charged on every insert, as the
+// paper sets a key's staging bits, although the store sets them in one
+// pass over the buffer when it flushes.
 type CPUCosts struct {
 	BufferInsert    time.Duration // cuckoo insert incl. partition hashing
 	BufferLookup    time.Duration // cuckoo get + delete-list check
-	BloomAdd        time.Duration // staging filter update
+	BloomAdd        time.Duration // staging filter update, charged per insert (see above)
 	BloomQuery      time.Duration // bit-sliced query over all incarnations
 	BloomQueryNaive time.Duration // query without bit-slicing (§7.3.1 ablation)
 	FlushSerialize  time.Duration // serialize + reset one buffer

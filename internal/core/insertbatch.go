@@ -10,18 +10,19 @@ import (
 // batch.go. Every insert runs through it, a single-key Insert as a batch of
 // one, in three phases:
 //
-//	A (apply):   every key's buffer update — delete-list revival, cuckoo
-//	             insert, Bloom staging — and every flush's *bookkeeping*
-//	             (eviction cascades, slot placement, filter-bank rotation,
-//	             buffer reset, counters) run in input order, with CPU
-//	             charges accrued into one deferred clock advance. A flush's
-//	             device write is withheld: the image is serialized into a
-//	             pooled buffer and staged. Duplicate keys whose first
+//	A (apply):   every key's buffer update — delete-list revival and
+//	             cuckoo insert — and every flush's *bookkeeping* (eviction
+//	             cascades, slot placement, Bloom staging of the buffer's
+//	             keys in one pass, filter-bank rotation, buffer reset,
+//	             counters) run in input order, with CPU charges accrued into
+//	             one deferred clock advance; a key's Bloom staging add is
+//	             charged per insert but set at its buffer's flush. A
+//	             flush's device write is withheld: the image is serialized
+//	             into a pooled buffer and staged. Duplicate keys whose first
 //	             occurrence is still in the buffer are memoized: the
 //	             occurrence collapses to a last-write-wins value overwrite,
-//	             skipping the delete-list probe and the (idempotent) Bloom
-//	             staging add while still charging the full insert's CPU
-//	             costs and counters.
+//	             skipping the delete-list probe while still charging the
+//	             full insert's CPU costs and counters.
 //	B (write):   the deferred CPU debt lands on the clock in one advance;
 //	             then the staged images — every flush the batch triggered,
 //	             plus any a failed submission left pending — are
@@ -106,10 +107,9 @@ func (b *BufferHash) InsertBatch(keys, values []uint64) error {
 			int(slot.table) == st.idx && slot.flushGen == st.flushGen {
 			// Duplicate within the current flush epoch: the key is still in
 			// the buffer, so this occurrence is a pure last-write-wins
-			// overwrite — it cannot fill the buffer, its delete-list entry
-			// was removed by the first occurrence, and re-adding it to the
-			// Bloom staging filter would set the same bits. Charge what a
-			// full insert would and overwrite the value.
+			// overwrite — it cannot fill the buffer and its delete-list
+			// entry was removed by the first occurrence. Charge what a full
+			// insert would and overwrite the value.
 			b.chargeCPU(cfg.CPU.BufferInsert)
 			if err := st.buf.Insert(kh, values[i]); err != nil {
 				applyErr = fmt.Errorf("core: buffer insert: %w", err)

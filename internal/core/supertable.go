@@ -160,15 +160,15 @@ func (st *superTable) reinsertLRU(kh, v uint64) {
 		return
 	}
 	if st.buf.Insert(kh, v) == nil {
-		if st.bank != nil {
-			st.bank.AddStaging(kh)
-		}
 		st.owner.stats.LRUReinserts++
 	}
 }
 
 // insert implements §5.1.1: values go to the buffer; a full buffer is
-// flushed to flash as a new incarnation first.
+// flushed to flash as a new incarnation first. The key's Bloom staging add
+// is charged here, as the paper's cost model has it, but its bits are set
+// when the buffer's keys are next read through the staging filter (see
+// stageBuffer).
 func (st *superTable) insert(kh, v uint64) error {
 	cfg := &st.owner.cfg
 	st.owner.chargeCPU(cfg.CPU.BufferInsert)
@@ -188,18 +188,22 @@ func (st *superTable) insert(kh, v uint64) error {
 	}
 	if st.bank != nil {
 		st.owner.chargeCPU(cfg.CPU.BloomAdd)
-		st.bank.AddStaging(kh)
 	}
 	return nil
 }
 
 // del implements lazy deletion (§5.1.1): remove from the buffer if still
 // there, and record the key in the in-memory delete list consulted before
-// every lookup.
+// every lookup. A key deleted from the buffer is added to the staging
+// filter now, because stageBuffer will no longer find it: the filter keeps
+// every key buffered since the last flush, as when each insert set its
+// bits.
 func (st *superTable) del(kh uint64) {
 	cfg := &st.owner.cfg
 	st.owner.chargeCPU(cfg.CPU.BufferInsert)
-	st.buf.Delete(kh)
+	if st.buf.Delete(kh) && st.bank != nil {
+		st.bank.AddStaging(kh)
+	}
 	if st.deleteList == nil {
 		st.deleteList = make(map[uint64]uint64)
 	}
@@ -226,7 +230,9 @@ func (st *superTable) pruneDeletes() {
 // discard policies re-insert retained entries into the fresh buffer, which
 // can cascade into further evictions (§7.4); after trying all k
 // incarnations the oldest is force-discarded wholesale, exactly as the
-// paper specifies.
+// paper specifies. Each incarnation write stages the buffer's keys into
+// the Bloom bank just before rotating it, so entries re-inserted into the
+// fresh buffer are staged with the buffer they now belong to.
 func (st *superTable) flush() error {
 	cfg := &st.owner.cfg
 	var pending []entry
@@ -258,9 +264,6 @@ func (st *superTable) flush() error {
 			if _, ok := st.buf.Get(e.k); !ok {
 				if err := st.buf.Insert(e.k, e.v); err != nil {
 					break
-				}
-				if st.bank != nil {
-					st.bank.AddStaging(e.k)
 				}
 				st.owner.stats.Reinserted++
 			}
@@ -302,6 +305,9 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 		return nil, err
 	}
 	defer st.owner.releaseImage(image)
+	if cfg.Policy == UpdateBased && st.bank != nil {
+		st.stageBuffer() // the scan asks QueryStaging
+	}
 	params := st.owner.tableParams(st.idx)
 	newerMask := st.validMask() // offsets newer than j0 (live already decremented)
 	var retained []entry
@@ -338,6 +344,17 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 	return retained, nil
 }
 
+// stageBuffer ORs every buffered key into the staging filter, in one pass
+// over the buffer's slot array that keeps the filter's bitmap in cache.
+// It runs only where the filter is read — before Rotate and before an
+// update-based eviction scan — so no insert pays for it. Setting bits is a
+// set union: with del's adds for keys deleted from the buffer, the filter
+// then holds exactly the bits an AddStaging per buffered insert would have
+// set, whatever order the keys arrived in.
+func (st *superTable) stageBuffer() {
+	st.bank.AddStagingKeys(st.buf.Keys())
+}
+
 // writeBufferAsIncarnation serializes the buffer into a pooled image
 // buffer, stages it at a layout-chosen address for the op's overlapped
 // device submission, rotates the Bloom bank, and resets the buffer.
@@ -352,6 +369,7 @@ func (st *superTable) writeBufferAsIncarnation() error {
 	st.buf.Serialize(img)
 	st.owner.stageWrite(img, addr)
 	if st.bank != nil {
+		st.stageBuffer()
 		st.bank.Rotate()
 	}
 	copy(st.incs, st.incs[1:])

@@ -328,6 +328,11 @@ func (t *Table) Delete(key uint64) bool {
 	return false
 }
 
+// Keys returns the table's slot key array: one key per slot, zero for an
+// empty slot. It aliases the table, so it must not be modified, and its
+// contents change with every Insert, Delete and Reset.
+func (t *Table) Keys() []uint64 { return t.keys }
+
 // Reset clears the table for reuse.
 func (t *Table) Reset() {
 	for i := range t.keys {

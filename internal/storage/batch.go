@@ -168,16 +168,17 @@ func SortWriteReqs(reqs []WriteReq) {
 
 // WriteBatchFallback services a write batch against a plain Device by
 // looping WriteAt in address-sorted order — the serial sum, the correct
-// fallback for devices without BatchWriter.
-func WriteBatchFallback(d Device, reqs []WriteReq) (time.Duration, error) {
+// fallback for devices without BatchWriter. It sorts reqs in place and
+// stops at the first failing write: landed reports how many requests, the
+// first landed of the sorted reqs, reached the device before it.
+func WriteBatchFallback(d Device, reqs []WriteReq) (landed int, total time.Duration, err error) {
 	SortWriteReqs(reqs)
-	var total time.Duration
-	for _, r := range reqs {
+	for i, r := range reqs {
 		lat, err := d.WriteAt(r.P, r.Off)
 		if err != nil {
-			return total, err
+			return i, total, err
 		}
 		total += lat
 	}
-	return total, nil
+	return len(reqs), total, nil
 }
