@@ -229,9 +229,6 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 	if maxK == 0 {
 		maxK = 16
 	}
-	if maxK > 64 {
-		return core.Config{}, fmt.Errorf("clam: WithMaxIncarnations(%d) > 64", maxK)
-	}
 
 	// Total buffer allocation: B_opt, clamped to at most half the memory
 	// budget, and at least one buffer.
@@ -857,22 +854,30 @@ type RouterStats struct {
 
 // Stats snapshots the operation counters and latency summaries.
 func (c *CLAM) Stats() Stats {
+	st, hi, hl, hd, hw := c.snapshot()
+	st.InsertLatency = hi.Summarize()
+	st.LookupLatency = hl.Summarize()
+	st.DeleteLatency = hd.Summarize()
+	st.WriteLatency = hw.Summarize()
+	return st
+}
+
+// snapshot copies the store's counters and latency histograms under its
+// lock; Stats summarizes them, Sharded.Stats merges them across shards.
+func (c *CLAM) snapshot() (Stats, *metrics.Histogram, *metrics.Histogram, *metrics.Histogram, *metrics.Histogram) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{
-		Core:          c.bh.Stats(),
-		Device:        c.dev.Counters(),
-		InsertLatency: c.insert.Summarize(),
-		LookupLatency: c.lookup.Summarize(),
-		DeleteLatency: c.del.Summarize(),
-		WriteLatency:  c.write.Summarize(),
-		Memory:        c.bh.MemoryFootprint(),
+		Core:   c.bh.Stats(),
+		Device: c.dev.Counters(),
+		Memory: c.bh.MemoryFootprint(),
 	}
 	if c.vlog != nil {
 		st.ValueDevice = c.vlog.Device().Counters()
 		st.ValueLog = c.vlog.Stats()
 	}
-	return st
+	hi, hl, hd, hw := c.insert, c.lookup, c.del, c.write
+	return st, &hi, &hl, &hd, &hw
 }
 
 // InsertHistogram returns the insert latency histogram (callers must not

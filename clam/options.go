@@ -115,9 +115,12 @@ func WithValueLog(bytes int64) Option {
 }
 
 // WithBufferKB overrides B′, the per-super-table buffer size (default:
-// 128 KB, or the device erase block on raw flash).
+// 128 KB, or the device erase block on raw flash). kb must be positive.
 func WithBufferKB(kb int) Option {
 	return func(c *config) error {
+		if kb < 1 {
+			return fmt.Errorf("clam: WithBufferKB(%d): buffer size must be positive", kb)
+		}
 		c.bufferKB = kb
 		return nil
 	}
@@ -133,9 +136,12 @@ func WithFilterBitsPerEntry(bits int) Option {
 }
 
 // WithMaxIncarnations caps k per super table (default 16, the paper's
-// configuration; hard limit 64).
+// configuration); k must lie in [1, 64].
 func WithMaxIncarnations(k int) Option {
 	return func(c *config) error {
+		if k < 1 || k > 64 {
+			return fmt.Errorf("clam: WithMaxIncarnations(%d): cap must lie in [1, 64]", k)
+		}
 		c.maxIncarnations = k
 		return nil
 	}

@@ -9,9 +9,8 @@ import (
 )
 
 // The insert-batch benchmarks compare the write-side pipeline against a
-// per-key PutU64 loop on identically configured sharded stores — the
-// wall-clock half of what cmd/clam-bench -putbatch measures in virtual
-// time as well.
+// per-key PutU64 loop on identically configured sharded stores, in wall
+// clock.
 
 func putBenchStore(b *testing.B) Store {
 	b.Helper()

@@ -245,23 +245,6 @@ func (s *Sharded) Stats() Stats {
 	return agg
 }
 
-// snapshot copies one shard's metric state under its lock.
-func (c *CLAM) snapshot() (Stats, *metrics.Histogram, *metrics.Histogram, *metrics.Histogram, *metrics.Histogram) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := Stats{
-		Core:   c.bh.Stats(),
-		Device: c.dev.Counters(),
-		Memory: c.bh.MemoryFootprint(),
-	}
-	if c.vlog != nil {
-		st.ValueDevice = c.vlog.Device().Counters()
-		st.ValueLog = c.vlog.Stats()
-	}
-	hi, hl, hd, hw := c.insert, c.lookup, c.del, c.write
-	return st, &hi, &hl, &hd, &hw
-}
-
 // --- batch grouping and the worker pool ---
 
 // shardGroups is one batch bucketed by shard with a counting sort: shard sh

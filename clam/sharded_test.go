@@ -30,6 +30,12 @@ func TestOpenShardedValidation(t *testing.T) {
 		{"indivisible flash", []Option{WithDevice(IntelSSD), WithFlash(32<<20 + 1), WithMemory(8 << 20), WithShards(4)}},
 		{"zero flash", []Option{WithShards(4)}},
 		{"zero chunk", append(base[:3:3], WithShards(4), WithBatchChunk(0))},
+		{"negative buffer", append(base[:3:3], WithBufferKB(-1))},
+		{"zero buffer", append(base[:3:3], WithBufferKB(0))},
+		{"negative incarnations", append(base[:3:3], WithMaxIncarnations(-1))},
+		{"too many incarnations", append(base[:3:3], WithMaxIncarnations(65))},
+		{"unknown policy", append(base[:3:3], WithPolicy(Policy(99)))},
+		{"unknown policy, sharded", append(base[:3:3], WithShards(4), WithPolicy(Policy(99)))},
 	}
 	for _, c := range cases {
 		if _, err := Open(c.opts...); err == nil {

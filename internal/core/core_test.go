@@ -54,6 +54,8 @@ func TestConfigValidation(t *testing.T) {
 		{"no filter bits", func(c *Config) { c.FilterBitsPerEntry = 0 }},
 		{"capacity too small", func(c *Config) { c.NumIncarnations = 64 }},
 		{"priority without retain", func(c *Config) { c.Policy = PriorityBased }},
+		{"unknown policy", func(c *Config) { c.Policy = EvictionPolicy(99) }},
+		{"negative policy", func(c *Config) { c.Policy = -1 }},
 		{"huge partitions", func(c *Config) { c.PartitionBits = 30 }},
 		// 2^44 pages of 2 KiB (32 PiB): a probe's page number no longer
 		// fits beside the pending index in LookupBatch's probe word.

@@ -118,44 +118,16 @@ func (d *Disk) service(off, n int64) time.Duration {
 	return lat
 }
 
-func (d *Disk) access(op storage.Op, p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckRange(d.Geometry(), off, int64(len(p)), 1); err != nil {
-		return 0, err
-	}
-	if d.fault != nil {
-		if err := d.fault(op, off, len(p)); err != nil {
-			return 0, err
-		}
-	}
-	lat := d.service(off, int64(len(p)))
-	d.lastEnd = off + int64(len(p))
-	d.counters.BusyTime += lat
-	d.clock.Advance(lat)
-	return lat, nil
-}
-
-// ReadAt implements storage.Device. Reads may start at any byte offset.
+// ReadAt implements storage.Device as a ReadBatch of one request. Reads
+// may start at any byte offset.
 func (d *Disk) ReadAt(p []byte, off int64) (time.Duration, error) {
-	lat, err := d.access(storage.OpRead, p, off)
-	if err != nil {
-		return 0, err
-	}
-	d.store.ReadAt(p, off)
-	d.counters.Reads++
-	d.counters.BytesRead += uint64(len(p))
-	return lat, nil
+	return d.ReadBatch([]storage.ReadReq{{P: p, Off: off}})
 }
 
-// WriteAt implements storage.Device. Writes may start at any byte offset.
+// WriteAt implements storage.Device as a WriteBatch of one request. Writes
+// may start at any byte offset.
 func (d *Disk) WriteAt(p []byte, off int64) (time.Duration, error) {
-	lat, err := d.access(storage.OpWrite, p, off)
-	if err != nil {
-		return 0, err
-	}
-	d.store.WriteAt(p, off)
-	d.counters.Writes++
-	d.counters.BytesWritten += uint64(len(p))
-	return lat, nil
+	return d.WriteBatch([]storage.WriteReq{{P: p, Off: off}})
 }
 
 // ReadBatch implements storage.BatchReader. A disk has one actuator — one

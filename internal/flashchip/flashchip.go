@@ -69,9 +69,8 @@ type Config struct {
 	Costs     CostModel
 
 	// Planes is the number of planes a batched read can sense in parallel
-	// (multi-plane page reads). Individual ReadAt calls remain blocking
-	// single-plane operations; only ReadBatch overlaps. 0 or 1 disables
-	// overlap.
+	// (multi-plane page reads). A ReadAt is a batch of one request and so
+	// stays a blocking single-plane operation. 0 or 1 disables overlap.
 	Planes int
 }
 
@@ -98,7 +97,7 @@ type Chip struct {
 	eraseCnt []uint32
 	counters storage.Counters
 	fault    storage.FaultFunc
-	batchSvc []time.Duration // ReadBatch per-request service-time scratch
+	batchSvc []time.Duration // ReadBatch/WriteBatch per-request service-time scratch
 }
 
 // New builds a chip. It panics on invalid geometry, since configurations are
@@ -137,38 +136,17 @@ func (c *Chip) EraseCount(off int64) uint32 {
 	return c.eraseCnt[off/int64(c.cfg.BlockSize)]
 }
 
-// ReadAt reads len(p) bytes at off. Reads may start at any byte offset, but
-// latency is charged for every page touched (P2: a sub-page I/O costs at
-// least a full-page I/O).
+// ReadAt reads len(p) bytes at off as a ReadBatch of one request.
 func (c *Chip) ReadAt(p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckRange(c.Geometry(), off, int64(len(p)), 1); err != nil {
-		return 0, err
-	}
-	if c.fault != nil {
-		if err := c.fault(storage.OpRead, off, len(p)); err != nil {
-			return 0, err
-		}
-	}
-	ps := int64(c.cfg.PageSize)
-	firstPage := off / ps
-	lastPage := (off + int64(len(p)) - 1) / ps
-	if len(p) == 0 {
-		lastPage = firstPage
-	}
-	chargedBytes := (lastPage - firstPage + 1) * ps
-	lat := c.cfg.Costs.Read(chargedBytes)
-	c.store.ReadAt(p, off)
-	c.counters.Reads++
-	c.counters.BytesRead += uint64(len(p))
-	c.counters.BusyTime += lat
-	c.clock.Advance(lat)
-	return lat, nil
+	return c.ReadBatch([]storage.ReadReq{{P: p, Off: off}})
 }
 
 // ReadBatch implements storage.BatchReader with the shared overlap model:
 // address-sorted service, sequential runs paying the fixed array-access
 // setup once, and per-request sense+transfer times overlapped across the
-// chip's planes (max lane total, not sum).
+// chip's planes (max lane total, not sum). Reads may start at any byte
+// offset, but latency is charged for every page touched (P2: a sub-page
+// I/O costs at least a full-page I/O).
 func (c *Chip) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	if len(reqs) == 0 {
 		return 0, nil
@@ -213,34 +191,15 @@ func (c *Chip) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	return total, nil
 }
 
-// WriteAt programs len(p) bytes at off. The range must be page-aligned,
-// every target page must be erased, and pages within each block must be
-// programmed in ascending order.
+// WriteAt programs len(p) bytes at off as a WriteBatch of one request.
 func (c *Chip) WriteAt(p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckRange(c.Geometry(), off, int64(len(p)), c.cfg.PageSize); err != nil {
-		return 0, err
-	}
-	if c.fault != nil {
-		if err := c.fault(storage.OpWrite, off, len(p)); err != nil {
-			return 0, err
-		}
-	}
-	if err := c.program(off, int64(len(p))); err != nil {
-		return 0, err
-	}
-	lat := c.cfg.Costs.Write(int64(len(p)))
-	c.store.WriteAt(p, off)
-	c.counters.Writes++
-	c.counters.BytesWritten += uint64(len(p))
-	c.counters.BusyTime += lat
-	c.clock.Advance(lat)
-	return lat, nil
+	return c.WriteBatch([]storage.WriteReq{{P: p, Off: off}})
 }
 
 // program validates and advances the program-order frontiers of the blocks
 // covered by a page-aligned write of n bytes at off. The frontiers are only
-// mutated once the whole range validates, so a failed write leaves the chip
-// unchanged. Shared by WriteAt and WriteBatch.
+// mutated once the whole range validates, so a failed request leaves the
+// chip unchanged.
 func (c *Chip) program(off, n int64) error {
 	ps := int64(c.cfg.PageSize)
 	pagesPerBlock := int32(c.cfg.BlockSize / c.cfg.PageSize)
@@ -276,9 +235,11 @@ func (c *Chip) program(off, n int64) error {
 // WriteBatch implements storage.BatchWriter: address-sorted service,
 // sequential runs paying the fixed program setup once, and per-request
 // program times overlapped across the chip's planes (multi-plane page
-// program). Program-order constraints are enforced per request in sorted
-// order, so earlier requests of a failing batch remain programmed — the
-// same partial-application contract as a failing multi-block WriteAt.
+// program). Every request must be page-aligned, its pages erased, and
+// pages within each block programmed in ascending order. Program order is
+// enforced per request in sorted order: earlier requests of a failing
+// batch remain programmed and are charged, while the failing request and
+// those after it leave the chip and the clock unchanged.
 func (c *Chip) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
 	if len(reqs) == 0 {
 		return 0, nil

@@ -1,7 +1,8 @@
 package storage
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -49,24 +50,12 @@ type BatchReader interface {
 // common case, since the core pipeline submits sorted requests — are
 // detected with one linear scan and left untouched.
 func SortReadReqs(reqs []ReadReq) {
-	sortByOff(reqs, func(r ReadReq) int64 { return r.Off })
-}
-
-// sortByOff is the shared elevator ordering of SortReadReqs and
-// SortWriteReqs: stable ascending sort by device address, with a linear
-// scan skipping batches that are already in order.
-func sortByOff[T any](reqs []T, off func(T) int64) {
-	sorted := true
 	for i := 1; i < len(reqs); i++ {
-		if off(reqs[i]) < off(reqs[i-1]) {
-			sorted = false
-			break
+		if reqs[i].Off < reqs[i-1].Off {
+			slices.SortStableFunc(reqs, func(a, b ReadReq) int { return cmp.Compare(a.Off, b.Off) })
+			return
 		}
 	}
-	if sorted {
-		return
-	}
-	sort.SliceStable(reqs, func(i, j int) bool { return off(reqs[i]) < off(reqs[j]) })
 }
 
 // OverlapLanes implements step 3 of the overlap model: distribute the
@@ -163,7 +152,12 @@ type BatchWriter interface {
 // step of the overlap model). Already-sorted batches are detected with one
 // linear scan and left untouched.
 func SortWriteReqs(reqs []WriteReq) {
-	sortByOff(reqs, func(r WriteReq) int64 { return r.Off })
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].Off < reqs[i-1].Off {
+			slices.SortStableFunc(reqs, func(a, b WriteReq) int { return cmp.Compare(a.Off, b.Off) })
+			return
+		}
+	}
 }
 
 // WriteBatchFallback services a write batch against a plain Device by

@@ -2,7 +2,11 @@ package storage_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -308,5 +312,259 @@ func TestBatchWriterProgramOrder(t *testing.T) {
 	_, err := chip.WriteBatch([]storage.WriteReq{{P: p, Off: int64(g.PageSize)}})
 	if !errors.Is(err, storage.ErrProgramOrder) {
 		t.Fatalf("out-of-order batch write: %v, want ErrProgramOrder", err)
+	}
+}
+
+// ioDevice is a device model with a fault hook, as every simulated medium
+// provides.
+type ioDevice interface {
+	storage.Device
+	SetFault(storage.FaultFunc)
+}
+
+// TestSingleRequestIOGolden pins the single-request ReadAt/WriteAt
+// behaviour of every device model. Each device runs a seeded stream of
+// about 5k calls — aligned, unaligned, zero-length, multi-page and
+// out-of-range reads and writes, with trims and idle gaps on the SSDs,
+// erases on the chip and an injected fault every ~50 ops — and every
+// call's latency, error text and read bytes, plus the final counters and
+// clock, fold into one FNV-64 hash. The constants were taken from the
+// models' original per-call cost code, so any change to what one request
+// costs, when GC runs or what an error says shows up here.
+func TestSingleRequestIOGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(*vclock.Clock) ioDevice
+		want uint64
+	}{
+		{"ssd-intel", func(c *vclock.Clock) ioDevice { return ssd.New(ssd.IntelX18M(), 2<<20, c) }, 0x0a324493aa9793f8},
+		{"ssd-transcend", func(c *vclock.Clock) ioDevice { return ssd.New(ssd.TranscendTS32(), 2<<20, c) }, 0xa5fe5b620116416e},
+		{"flash-chip", func(c *vclock.Clock) ioDevice { return flashchip.New(flashchip.DefaultConfig(4<<20), c) }, 0xc7074b3a11295bd5},
+		{"disk", func(c *vclock.Clock) ioDevice { return disk.New(disk.Hitachi7K80(), 4<<20, c) }, 0x4f67075c1be88077},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := vclock.New()
+			dev := tc.mk(clock)
+			got, faults, orderErrs := runSingleRequestStream(dev, clock, 5000)
+			c := dev.Counters()
+			if faults == 0 {
+				t.Fatal("stream injected no faults")
+			}
+			switch tc.name {
+			case "ssd-intel":
+				if c.GCRuns == 0 {
+					t.Fatal("stream never pushed the page-mapped FTL into GC")
+				}
+			case "ssd-transcend":
+				if c.PagesMoved == 0 {
+					t.Fatal("stream never forced a block-mapped merge")
+				}
+			case "flash-chip":
+				if orderErrs == 0 || c.Erases == 0 {
+					t.Fatalf("stream hit %d program-order errors and %d erases, want both > 0", orderErrs, c.Erases)
+				}
+			}
+			if got != tc.want {
+				t.Fatalf("single-request I/O hash = %#x, want %#x (counters %+v, clock %v)", got, tc.want, c, clock.Now())
+			}
+		})
+	}
+}
+
+// runSingleRequestStream drives n seeded single-request calls against dev
+// and returns the FNV-64 hash of everything observable, the number of
+// injected faults and the number of program-order errors.
+func runSingleRequestStream(dev ioDevice, clock *vclock.Clock, n int) (sum uint64, faults, orderErrs int) {
+	rng := rand.New(rand.NewSource(0x5eed10))
+	h := fnv.New64a()
+	var word [8]byte
+	fold := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	foldResult := func(lat time.Duration, err error) {
+		fold(uint64(lat))
+		if err != nil {
+			h.Write([]byte(err.Error()))
+			if errors.Is(err, storage.ErrProgramOrder) {
+				orderErrs++
+			}
+		}
+		h.Write([]byte{0})
+	}
+
+	inject := false
+	dev.SetFault(func(op storage.Op, off int64, n int) error {
+		if inject {
+			return fmt.Errorf("injected %v fault off=%d n=%d", op, off, n)
+		}
+		return nil
+	})
+
+	g := dev.Geometry()
+	ps := int64(g.PageSize)
+	pages := g.Capacity / ps
+	eraser, _ := dev.(storage.Eraser)
+	trimmer, _ := dev.(storage.Trimmer)
+	var ppb int64 // pages per erase block on the chip
+	var frontier []int64
+	if eraser != nil {
+		ppb = int64(g.BlockSize) / ps
+		frontier = make([]int64, g.Capacity/int64(g.BlockSize))
+	}
+	buf := make([]byte, 17*ps)
+	lastEnd := int64(0)
+
+	// shape draws an offset and length: aligned single pages mostly, plus
+	// the unaligned, zero-length, multi-page, sequential and out-of-range
+	// corners.
+	shape := func() (int64, int64) {
+		switch rng.Intn(10) {
+		case 0:
+			return rng.Int63n(pages) * ps, 0
+		case 1:
+			return rng.Int63n(pages-2)*ps + rng.Int63n(ps), rng.Int63n(2*ps) + 1
+		case 2:
+			np := rng.Int63n(15) + 2
+			return rng.Int63n(pages-np) * ps, np * ps
+		case 3:
+			if rng.Intn(2) == 0 {
+				return -ps, ps
+			}
+			return g.Capacity - ps*rng.Int63n(2), 2 * ps
+		case 4:
+			if lastEnd+ps <= g.Capacity {
+				return lastEnd, ps
+			}
+		}
+		return rng.Int63n(pages) * ps, ps
+	}
+
+	for i := 0; i < n; i++ {
+		inject = rng.Intn(50) == 0
+		if inject {
+			faults++
+		}
+		switch r := rng.Intn(100); {
+		case r < 40: // read
+			off, l := shape()
+			p := buf[:max(l, 0)]
+			lat, err := dev.ReadAt(p, off)
+			foldResult(lat, err)
+			if err == nil {
+				h.Write(p)
+				lastEnd = off + l
+			}
+		case r < 85: // write
+			off, l := shape()
+			if frontier != nil && rng.Intn(4) != 0 {
+				// Mostly program at a block's frontier so the chip keeps
+				// accepting writes; the rest violate program order.
+				blk := rng.Int63n(int64(len(frontier)))
+				left := ppb - frontier[blk]
+				if left == 0 {
+					lat, err := eraser.Erase(blk*int64(g.BlockSize), int64(g.BlockSize))
+					foldResult(lat, err)
+					if err == nil {
+						frontier[blk] = 0
+					}
+					continue
+				}
+				off, l = (blk*ppb+frontier[blk])*ps, (rng.Int63n(min(left, 16))+1)*ps
+			}
+			p := buf[:max(l, 0)]
+			for j := range p {
+				p[j] = byte(i*31 + j)
+			}
+			lat, err := dev.WriteAt(p, off)
+			foldResult(lat, err)
+			if err == nil {
+				lastEnd = off + l
+				for pg := off / ps; frontier != nil && pg < (off+l)/ps; pg++ {
+					frontier[pg/ppb] = pg%ppb + 1
+				}
+			}
+		case r < 90: // idle gap
+			clock.Advance(time.Duration(rng.Intn(400)) * time.Microsecond)
+		case r < 95: // trim or erase
+			switch {
+			case trimmer != nil:
+				np := rng.Int63n(8) + 1
+				err := trimmer.Trim(rng.Int63n(pages-np)*ps, np*ps)
+				foldResult(0, err)
+			case eraser != nil:
+				blk := rng.Int63n(int64(len(frontier)))
+				lat, err := eraser.Erase(blk*int64(g.BlockSize), int64(g.BlockSize))
+				foldResult(lat, err)
+				if err == nil {
+					frontier[blk] = 0
+				}
+			}
+		default: // sequential read-back of the last write
+			l := min(ps, g.Capacity-lastEnd)
+			lat, err := dev.ReadAt(buf[:l], lastEnd)
+			foldResult(lat, err)
+			if err == nil {
+				h.Write(buf[:l])
+			}
+		}
+	}
+	inject = false
+	c := dev.Counters()
+	for _, v := range []uint64{c.Reads, c.Writes, c.Erases, c.BytesRead, c.BytesWritten,
+		c.PagesMoved, c.GCRuns, uint64(c.BusyTime), uint64(clock.Now())} {
+		fold(v)
+	}
+	return h.Sum64(), faults, orderErrs
+}
+
+// TestSingleRequestIOAllocs pins the heap allocations of one ReadAt and
+// one WriteAt on every device model, over pages the sparse store already
+// holds: none, except the chip's write, whose program-order check builds
+// one range list.
+func TestSingleRequestIOAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		dev         storage.Device
+		writeAllocs float64
+	}{
+		{"ssd-intel", ssd.New(ssd.IntelX18M(), 4<<20, vclock.New()), 0},
+		{"ssd-transcend", ssd.New(ssd.TranscendTS32(), 4<<20, vclock.New()), 0},
+		{"flash-chip", flashchip.New(flashchip.DefaultConfig(4<<20), vclock.New()), 1},
+		{"disk", disk.New(disk.Hitachi7K80(), 4<<20, vclock.New()), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.dev.Geometry()
+			ps := int64(g.PageSize)
+			page := make([]byte, ps)
+			// Touch every erase block (every 128 KiB on the disk) so the
+			// sparse store's chunks exist before counting; the chip's
+			// writes then program each block's later pages in order.
+			bs := int64(max(g.BlockSize, 128<<10))
+			for off := int64(0); off < g.Capacity; off += bs {
+				if _, err := tc.dev.WriteAt(page, off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				if _, err := tc.dev.ReadAt(page, ps); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("ReadAt allocates %v times, want 0", n)
+			}
+			next := int64(0)
+			if n := testing.AllocsPerRun(100, func() {
+				next += ps
+				if next%bs == 0 {
+					next += ps
+				}
+				if _, err := tc.dev.WriteAt(page, next); err != nil {
+					t.Fatal(err)
+				}
+			}); n != tc.writeAllocs {
+				t.Errorf("WriteAt allocates %v times, want %v", n, tc.writeAllocs)
+			}
+		})
 	}
 }

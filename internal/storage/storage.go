@@ -24,7 +24,9 @@
 // internal/core feeds coalesced flash probes through BatchReader, and the
 // batched insert pipeline feeds the incarnation images its flushes
 // produce through BatchWriter; see those interfaces for the precise
-// three-step overlap model.
+// three-step overlap model. The simulated media implement ReadAt and
+// WriteAt as a batch of one request, so each has one cost path per
+// direction; ReadBatchFallback and WriteBatchFallback serve plain devices.
 package storage
 
 import (

@@ -279,25 +279,9 @@ func (l *ValueLog) MarkDead(off int64, n int) {
 	}
 }
 
-// Append writes a (key, value) record and returns its pointer (offset and
-// total length). The returned offset becomes invalid — and reads of it
-// self-invalidate via key verification — once the head wraps past it.
-func (l *ValueLog) Append(key, value []byte) (off int64, n int, err error) {
-	off, n, err = l.appendRecord(key, value)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(l.buf) >= l.flushAt {
-		if err := l.flushFullPages(); err != nil {
-			return 0, 0, err
-		}
-	}
-	return off, n, nil
-}
-
 // appendRecord stages one record in the tail buffer without triggering the
-// full-page flush, so batched appends can accumulate a whole chunk and
-// write its pages in one sequential submission.
+// full-page flush, so AppendBatch can accumulate a whole chunk and write
+// its pages in one sequential submission.
 func (l *ValueLog) appendRecord(key, value []byte) (off int64, n int, err error) {
 	n = RecordSize(len(key), len(value))
 	if int64(n) > l.capacity {
@@ -327,11 +311,12 @@ func (l *ValueLog) appendRecord(key, value []byte) (off int64, n int, err error)
 
 // AppendBatch appends len(keys) records as one tail-buffered multi-record
 // append, filling offs[i] and ns[i] with each record's pointer (both must
-// have len(keys)). Record offsets, wrap points and tail-served reads are
-// exactly what a loop over Append would produce; the difference is purely
-// the write stream — the batch's full pages reach the device as one
-// sequential submission at the end instead of one write per flushAt of
-// accumulated records. On error the batch may be partially appended.
+// have len(keys)). A pointer becomes invalid — and reads of it
+// self-invalidate via key verification — once the head wraps past it.
+// Record offsets, wrap points and tail-served reads do not depend on how
+// records are grouped into batches; only the write stream does: a batch's
+// full pages reach the device as one sequential submission at its end. On
+// error the batch may be partially appended.
 func (l *ValueLog) AppendBatch(keys, values [][]byte, offs []int64, ns []int) error {
 	if len(keys) != len(values) || len(offs) != len(keys) || len(ns) != len(keys) {
 		return fmt.Errorf("storage: AppendBatch length mismatch: %d keys, %d values, %d offs, %d ns",
@@ -451,46 +436,14 @@ func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOf
 	}
 }
 
-// readSplit fills p with the log bytes at off, serving buffered bytes from
-// the tail buffer and the rest with direct device reads.
-func (l *ValueLog) readSplit(p []byte, off int64) error {
-	var err error
-	l.readSegments(p, off, func(seg []byte, segOff int64) {
-		if err != nil {
-			return
-		}
-		if _, rerr := l.dev.ReadAt(seg, segOff); rerr != nil {
-			err = fmt.Errorf("storage: value log read: %w", rerr)
-		}
-	})
-	return err
-}
-
-// ReadRecord fetches one record's bytes. ok=false means the pointer does
-// not address a live record region (stale after a wrap on an unwrapped
-// region, or out of range); the returned slice aliases log-owned scratch
-// valid until the next log call.
-func (l *ValueLog) ReadRecord(off int64, n int) (rec []byte, ok bool, err error) {
-	if !l.inRange(off, n) {
-		return nil, false, nil
-	}
-	if cap(l.scratch) < n {
-		l.scratch = make([]byte, n)
-	}
-	rec = l.scratch[:n]
-	if err := l.readSplit(rec, off); err != nil {
-		return nil, false, err
-	}
-	return rec, true, nil
-}
-
 // ReadRecordsBatch resolves every request's record bytes. Requests whose
 // device portions survive are gathered, address-sorted and issued as one
 // BatchReader submission when the device supports it (falling back to a
 // sorted serial loop), so a batch of record fetches pays the overlapped
 // service time, not the serial sum. Buffered bytes are copied from the
 // tail buffer. Rec slices alias log-owned scratch valid until the next
-// log call; out-of-range requests leave Rec nil.
+// log call; a request whose pointer does not address a live record region
+// (past the head of an unwrapped log, or out of range) leaves Rec nil.
 func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 	total := 0
 	for i := range reqs {
