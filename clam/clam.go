@@ -36,9 +36,11 @@
 // Adding WithShards(8) to the same option list opens a Sharded store: the
 // key space is partitioned by top fingerprint bits across independent
 // shards, each a complete CLAM with its own BufferHash, device models,
-// virtual clock and histograms. Batch operations group their keys by
-// shard and run the shards on a bounded worker pool, each shard's keys in
-// chunks of WithBatchChunk keys. GetBatch/GetBatchU64 run each chunk
+// virtual clock and histograms. Both stores share one implementation of
+// every Store method, a router over their shards; a CLAM is the router's
+// one-shard case. Batch operations group their keys by shard and run the
+// shards on a bounded worker pool, each shard's keys in chunks of
+// WithBatchChunk keys. GetBatch/GetBatchU64 run each chunk
 // through the core batched lookup pipeline, overlapping index page probes
 // — and then value-log record reads, a second I/O stream — across the
 // device's internal queue lanes. PutBatch/PutBatchU64 are the write-side
@@ -53,15 +55,16 @@
 //
 // A CLAM is one BufferHash behind one mutex, the paper's blocking-I/O
 // design point (§5), and a Sharded store gets its parallelism from
-// independent shards. A Sharded batch op buckets its keys by shard with
-// one counting sort, keeping input order within each shard. A pool of at
-// most WithWorkers goroutines then claims the shards with keys in shard
-// order; a worker drains its shard chunk by chunk, each chunk one core
+// independent shards. A batch op buckets its keys by shard with one
+// counting sort, keeping input order within each shard. A pool of at most
+// WithWorkers goroutines then claims the shards with keys in shard order;
+// a worker drains its shard chunk by chunk, each chunk one core
 // batched-pipeline call, before it takes the next shard. A shard's keys
 // are cut into chunks exactly as its own batch method would cut them, so
 // virtual time, counters and results do not depend on the worker count.
 // Under heavy skew one worker drains the hot shard while the others
-// finish early; no worker shares a shard.
+// finish early; no worker shares a shard. A CLAM runs the same steps with
+// one shard, itself, and one worker: the caller's goroutine.
 //
 // A CLAM is opened over simulated storage devices (Intel-class SSD,
 // Transcend-class SSD, raw NAND chip, or magnetic disk, each calibrated
@@ -138,14 +141,17 @@ const (
 // CLAM is a cheap and large CAM — one instance of the paper's design,
 // implementing Store. Safe for concurrent use; operations serialize behind
 // one mutex (the paper's blocking-I/O design point).
+//
+// Its Store methods come from the embedded router, a one-shard router over
+// the CLAM itself, so a CLAM and a Sharded store run the same code.
 type CLAM struct {
+	router
+
 	mu     sync.Mutex
 	bh     *core.BufferHash
 	dev    storage.Device
 	vlog   *storage.ValueLog // nil iff no value-log device was configured
 	clock  *vclock.Clock
-	fpSeed uint64
-	chunk  int // batch chunk size: ctx-check interval and core-call bound
 	insert metrics.Histogram
 	lookup metrics.Histogram
 	del    metrics.Histogram
@@ -171,10 +177,7 @@ func openCLAM(cfg config) (*CLAM, error) {
 	if clock == nil {
 		clock = vclock.New()
 	}
-	c := &CLAM{
-		clock: clock,
-		chunk: cfg.batchChunk,
-	}
+	c := &CLAM{clock: clock}
 	dev := cfg.customDevice
 	vdev := cfg.customVLogDev
 	if dev == nil {
@@ -204,7 +207,13 @@ func openCLAM(cfg config) (*CLAM, error) {
 	}
 	c.bh = bh
 	c.dev = dev
-	c.fpSeed = coreCfg.Seed
+	c.router = router{
+		shards:  []*CLAM{c},
+		shift:   64,
+		workers: 1,
+		chunk:   cfg.batchChunk,
+		fpSeed:  coreCfg.Seed,
+	}
 	if vdev != nil {
 		if c.vlog, err = storage.NewValueLog(vdev); err != nil {
 			return nil, err
@@ -303,56 +312,21 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 	}, nil
 }
 
-// --- U64 fast path ---
-
-// PutU64 adds or updates a (key, value) mapping on the inline fast path:
-// a PutBatchU64 of one.
-func (c *CLAM) PutU64(key, value uint64) error {
-	return c.putBatchU64Chunk([]uint64{key}, []uint64{value})
-}
-
-// UpdateU64 is an alias of PutU64 with the paper's lazy-update semantics
-// (§5.1.1): the new version shadows older ones because lookups probe
-// newest-first; there is no existence check and no read-modify-write.
-func (c *CLAM) UpdateU64(key, value uint64) error { return c.PutU64(key, value) }
-
-// GetU64 returns the latest value stored under key: a GetBatchU64 of one.
-func (c *CLAM) GetU64(key uint64) (value uint64, found bool, err error) {
-	var res [1]core.LookupResult
-	err = c.getBatchU64Into([]uint64{key}, res[:])
-	return res[0].Value, res[0].Found, err
-}
-
-// DeleteU64 lazily removes key (§5.1.1): a DeleteBatchU64 of one.
-func (c *CLAM) DeleteU64(key uint64) error {
-	return c.deleteBatchU64Chunk([]uint64{key})
-}
-
-// PutBatchU64 applies len(keys) fast-path inserts through the core batched
-// insert pipeline (see internal/core: in-order buffer application with
-// deferred CPU charges, then every triggered flush issued as one
-// address-sorted overlapped write submission). PutU64 is the same pipeline
-// with one key, so state and structural counters do not depend on the batch
-// size; each chunk holds the lock once and its flush writes overlap in
-// virtual time. ctx is checked between chunks.
+// --- locked chunk operations ---
+//
+// The router drives a CLAM through the seven calls below, each one chunk
+// of at most WithBatchChunk keys run under the lock as one core
+// batched-pipeline call. A single-key Store call is a chunk of one.
 //
 // Latency accounting: a chunk's virtual elapsed time is spread evenly over
-// its keys, so the insert histogram records amortized per-key latency —
-// flush costs no longer land on one unlucky insert — and its count stays
-// equal to the number of inserts performed.
-func (c *CLAM) PutBatchU64(ctx context.Context, keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("clam: PutBatchU64 length mismatch: %d keys, %d values", len(keys), len(values))
-	}
-	return forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
-		return c.putBatchU64Chunk(keys[lo:hi], values[lo:hi])
-	})
-}
+// its keys, so the insert, lookup and delete histograms record amortized
+// per-key latency — flush costs no longer land on one unlucky insert — and
+// their counts stay equal to the number of operations performed.
 
 // forChunks calls op on [lo, hi) cut into consecutive ranges of at most
 // chunk items, the first starting at lo, and checks ctx before each range.
-// It stops at the first error, returning it (or ctx.Err()). Every batch op
-// of CLAM and Sharded runs its chunks through here.
+// It stops at the first error, returning it (or ctx.Err()). The router runs
+// every shard's part of a batch through here.
 func forChunks(ctx context.Context, lo, hi, chunk int, op func(lo, hi int) error) error {
 	for ; lo < hi; lo += chunk {
 		if err := ctx.Err(); err != nil {
@@ -365,8 +339,10 @@ func forChunks(ctx context.Context, lo, hi, chunk int, op func(lo, hi int) error
 	return nil
 }
 
-// putBatchU64Chunk is one locked batched-insert call; Sharded's batch ops
-// call it with per-shard chunks.
+// putBatchU64Chunk is one locked batched-insert call on the inline fast
+// path (see internal/core: in-order buffer application with deferred CPU
+// charges, then every triggered flush issued as one address-sorted
+// overlapped write submission).
 func (c *CLAM) putBatchU64Chunk(keys, values []uint64) error {
 	if len(keys) == 0 {
 		return nil
@@ -381,35 +357,9 @@ func (c *CLAM) putBatchU64Chunk(keys, values []uint64) error {
 	return nil
 }
 
-// GetBatchU64 looks up len(keys) keys through the core batched pipeline
-// (see internal/core: in-memory phase, coalesced overlapped flash phase,
-// newest-first resolution) and returns per-key results in input order.
-// GetU64 is the same pipeline with one key, so results and structural
-// counters do not depend on the batch size; each chunk holds the lock once
-// and its flash reads overlap in virtual time. ctx is checked between
-// chunks.
-//
-// Latency accounting: a chunk's virtual elapsed time is spread evenly over
-// its keys, so the lookup histogram records amortized per-key latency and
-// its count stays equal to the number of lookups performed.
-func (c *CLAM) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	results := make([]core.LookupResult, len(keys))
-	if err := forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
-		return c.getBatchU64Into(keys[lo:hi], results[lo:hi])
-	}); err != nil {
-		return nil, nil, err
-	}
-	for i, r := range results {
-		values[i], found[i] = r.Value, r.Found
-	}
-	return values, found, nil
-}
-
-// getBatchU64Into is one locked batched-lookup call without the output
-// allocation: results must have len(keys). Sharded's batch ops call it
-// with per-shard chunks of their grouped buffers.
+// getBatchU64Into is one locked batched-lookup call (see internal/core:
+// in-memory phase, coalesced overlapped flash phase, newest-first
+// resolution); results must have len(keys).
 func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
 	if len(keys) == 0 {
 		return nil
@@ -424,17 +374,8 @@ func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult) error
 	return nil
 }
 
-// DeleteBatchU64 applies len(keys) fast-path deletes, checking ctx between
-// chunks. Deletes perform no I/O; batching amortizes lock and clock
-// traffic, with counters independent of the batch size (DeleteU64 is a
-// batch of one).
-func (c *CLAM) DeleteBatchU64(ctx context.Context, keys []uint64) error {
-	return forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
-		return c.deleteBatchU64Chunk(keys[lo:hi])
-	})
-}
-
-// deleteBatchU64Chunk is one locked batched-delete call.
+// deleteBatchU64Chunk is one locked batched-delete call. Deletes perform
+// no I/O.
 func (c *CLAM) deleteBatchU64Chunk(keys []uint64) error {
 	if len(keys) == 0 {
 		return nil
@@ -447,23 +388,6 @@ func (c *CLAM) deleteBatchU64Chunk(keys []uint64) error {
 	}
 	c.del.ObserveN(w.Elapsed()/time.Duration(len(keys)), len(keys))
 	return nil
-}
-
-// --- byte-keyed operations ---
-
-// Put adds or updates a key → value mapping: the record is appended to the
-// value log and the key's fingerprint maps to its pointer.
-func (c *CLAM) Put(key, value []byte) error {
-	return c.putRecord(fingerprint(key, c.fpSeed), key, value)
-}
-
-// Update is an alias of Put with the paper's lazy-update semantics
-// (§5.1.1); see Store.
-func (c *CLAM) Update(key, value []byte) error { return c.Put(key, value) }
-
-// putRecord is a put chunk of one.
-func (c *CLAM) putRecord(fp uint64, key, value []byte) error {
-	return c.putBatchRecords([]uint64{fp}, [][]byte{key}, [][]byte{value})
 }
 
 // markDeadChunk does a chunk's value-log space accounting: the first
@@ -519,62 +443,12 @@ func (c *CLAM) markDeadIfBuffered(fp uint64) {
 	}
 }
 
-// Get returns the latest value stored under key, verified against the full
-// key bytes in the value-log record.
-func (c *CLAM) Get(key []byte) (value []byte, found bool, err error) {
-	return c.getRecord(fingerprint(key, c.fpSeed), key)
-}
-
-// getRecord is a get chunk of one.
-func (c *CLAM) getRecord(fp uint64, key []byte) (value []byte, found bool, err error) {
-	var values [1][]byte
-	var ok [1]bool
-	err = c.getBatchRecords([]uint64{fp}, [][]byte{key}, values[:], ok[:])
-	return values[0], ok[0], err
-}
-
-// Delete lazily removes key (§5.1.1). The value-log record is reclaimed by
-// the log's circular overwrite.
-func (c *CLAM) Delete(key []byte) error {
-	return c.deleteFP(fingerprint(key, c.fpSeed))
-}
-
-// deleteFP is a delete chunk of one.
-func (c *CLAM) deleteFP(fp uint64) error {
-	return c.deleteBatchFPs([]uint64{fp})
-}
-
-// PutBatch applies len(keys) Put operations, chunk by chunk: each chunk's
-// records are appended to the value log as one tail-buffered multi-record
+// putBatchRecords applies one chunk of byte puts under the lock: the
+// chunk's records land in the value log as one tail-buffered multi-record
 // append (its full pages reach the device as one sequential submission),
-// then the chunk's fingerprints and record pointers run through the core
-// batched insert pipeline, whose flush writes are issued as one overlapped
-// submission — the write-side mirror of GetBatch's two read streams. Final
-// state matches a Put loop exactly (record offsets depend only on append
-// order, and Put is the same path with one key). ctx is checked between
-// chunks.
-func (c *CLAM) PutBatch(ctx context.Context, keys, values [][]byte) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("clam: PutBatch length mismatch: %d keys, %d values", len(keys), len(values))
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	if c.vlog == nil {
-		return ErrNoValueLog
-	}
-	fps := make([]uint64, len(keys))
-	for i, k := range keys {
-		fps[i] = fingerprint(k, c.fpSeed)
-	}
-	return forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
-		return c.putBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi])
-	})
-}
-
-// putBatchRecords applies one chunk under the lock: one multi-record
-// value-log append, dead-record accounting, then one core insert batch.
-// Sharded's batch ops call it with per-shard chunks.
+// dead-record accounting runs, then the fingerprints and record pointers
+// go through one core insert batch. Record offsets depend only on append
+// order, so the final state does not depend on how keys are chunked.
 func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	if len(fps) == 0 {
 		return nil
@@ -609,35 +483,10 @@ func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	return nil
 }
 
-// GetBatch looks up len(keys) keys, chunk by chunk: each chunk runs the
-// core batched index pipeline (overlapped page probes) and then fetches
-// the surviving value-log records as one overlapped batched read — the
-// second I/O stream. ctx is checked between chunks.
-func (c *CLAM) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
-	values = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	if len(keys) == 0 {
-		return values, found, nil
-	}
-	if c.vlog == nil {
-		return nil, nil, ErrNoValueLog
-	}
-	fps := make([]uint64, len(keys))
-	for i, k := range keys {
-		fps[i] = fingerprint(k, c.fpSeed)
-	}
-	if err := forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
-		return c.getBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], found[lo:hi])
-	}); err != nil {
-		return nil, nil, err
-	}
-	return values, found, nil
-}
-
 // getBatchRecords resolves one chunk under the lock: batched index lookup,
 // then one batched value-log read for every key that resolved to a record
-// pointer, then per-key verification. It sets values[i] and found[i] only
-// for keys it finds. Sharded's batch ops call it with per-shard chunks.
+// pointer, then per-key verification against the full key bytes. It sets
+// values[i] and found[i] only for keys it finds.
 func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	if len(fps) == 0 {
 		return nil
@@ -681,21 +530,6 @@ func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fou
 	return nil
 }
 
-// DeleteBatch applies len(keys) Delete operations through the batched core
-// delete path, checking ctx between chunks.
-func (c *CLAM) DeleteBatch(ctx context.Context, keys [][]byte) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	fps := make([]uint64, len(keys))
-	for i, k := range keys {
-		fps[i] = fingerprint(k, c.fpSeed)
-	}
-	return forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
-		return c.deleteBatchFPs(fps[lo:hi])
-	})
-}
-
 // deleteBatchFPs applies one chunk of byte-key deletes under the lock,
 // accounting each fingerprint's buffered record dead once.
 func (c *CLAM) deleteBatchFPs(fps []uint64) error {
@@ -713,57 +547,9 @@ func (c *CLAM) deleteBatchFPs(fps []uint64) error {
 	return nil
 }
 
-// --- existence probes ---
-
-// ContainsU64 reports whether key is present on the fast path. It is
-// GetU64 without returning the value: same probes, same counters.
-func (c *CLAM) ContainsU64(key uint64) (bool, error) {
-	_, found, err := c.GetU64(key)
-	return found, err
-}
-
-// Contains reports whether a record is indexed under key's fingerprint,
-// stopping at the index hit: unlike Get, it skips the value-log record
-// read that would verify the full key bytes, so a duplicate probe costs
-// only the index lookup. The price is the fingerprint-collision false
-// positive rate the paper itself accepts at 32–64-bit fingerprints — a
-// colliding key, or a key whose record the circular log has lapped, can
-// report true. Workloads that need exactness read through Get.
-func (c *CLAM) Contains(key []byte) (bool, error) {
-	return c.containsFP(fingerprint(key, c.fpSeed))
-}
-
-// containsFP is an existence-probe chunk of one.
-func (c *CLAM) containsFP(fp uint64) (bool, error) {
-	var found [1]bool
-	err := c.containsBatchFPs([]uint64{fp}, found[:])
-	return found[0], err
-}
-
-// ContainsBatch probes len(keys) keys through the batched index pipeline
-// and returns per-key existence in input order, with Contains's
-// fingerprint-collision tradeoff: no value-log records are read, so a
-// chunk costs exactly its overlapped index probes. ctx is checked between
-// chunks.
-func (c *CLAM) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
-	found := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return found, nil
-	}
-	fps := make([]uint64, len(keys))
-	for i, k := range keys {
-		fps[i] = fingerprint(k, c.fpSeed)
-	}
-	if err := forChunks(ctx, 0, len(keys), c.chunk, func(lo, hi int) error {
-		return c.containsBatchFPs(fps[lo:hi], found[lo:hi])
-	}); err != nil {
-		return nil, err
-	}
-	return found, nil
-}
-
-// containsBatchFPs resolves one chunk of existence probes under the lock.
-// Sharded's batch ops call it with per-shard chunks.
+// containsBatchFPs resolves one chunk of existence probes under the lock,
+// stopping at the index hit: no value-log record is read (see
+// Store.Contains).
 func (c *CLAM) containsBatchFPs(fps []uint64, found []bool) error {
 	if len(fps) == 0 {
 		return nil
@@ -788,8 +574,9 @@ func (c *CLAM) containsBatchFPs(fps []uint64, found []bool) error {
 
 // --- maintenance and introspection ---
 
-// Flush forces all buffered entries to flash.
-func (c *CLAM) Flush() error {
+// flush forces the CLAM's buffered entries to flash: one shard's step of
+// Store.Flush.
+func (c *CLAM) flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bh.Flush()
@@ -852,32 +639,22 @@ type RouterStats struct {
 	CoopLanes []uint64
 }
 
-// Stats snapshots the operation counters and latency summaries.
-func (c *CLAM) Stats() Stats {
-	st, hi, hl, hd, hw := c.snapshot()
-	st.InsertLatency = hi.Summarize()
-	st.LookupLatency = hl.Summarize()
-	st.DeleteLatency = hd.Summarize()
-	st.WriteLatency = hw.Summarize()
-	return st
-}
-
-// snapshot copies the store's counters and latency histograms under its
-// lock; Stats summarizes them, Sharded.Stats merges them across shards.
-func (c *CLAM) snapshot() (Stats, *metrics.Histogram, *metrics.Histogram, *metrics.Histogram, *metrics.Histogram) {
+// snapshot adds the CLAM's counters and memory footprint into st and
+// merges its insert, lookup, delete and write latency histograms into h,
+// under its lock: one shard's step of Store.Stats.
+func (c *CLAM) snapshot(st *Stats, h *[4]metrics.Histogram) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{
-		Core:   c.bh.Stats(),
-		Device: c.dev.Counters(),
-		Memory: c.bh.MemoryFootprint(),
-	}
+	st.Core.Merge(c.bh.Stats())
+	st.Device.Add(c.dev.Counters())
+	st.Memory.Add(c.bh.MemoryFootprint())
 	if c.vlog != nil {
-		st.ValueDevice = c.vlog.Device().Counters()
-		st.ValueLog = c.vlog.Stats()
+		st.ValueDevice.Add(c.vlog.Device().Counters())
+		st.ValueLog.Add(c.vlog.Stats())
 	}
-	hi, hl, hd, hw := c.insert, c.lookup, c.del, c.write
-	return st, &hi, &hl, &hd, &hw
+	for i, src := range [4]*metrics.Histogram{&c.insert, &c.lookup, &c.del, &c.write} {
+		h[i].Merge(src)
+	}
 }
 
 // InsertHistogram returns the insert latency histogram (callers must not
@@ -887,9 +664,9 @@ func (c *CLAM) InsertHistogram() *metrics.Histogram { return &c.insert }
 // LookupHistogram returns the lookup latency histogram.
 func (c *CLAM) LookupHistogram() *metrics.Histogram { return &c.lookup }
 
-// ResetMetrics clears latency histograms and core counters, typically after
-// a warm-up phase.
-func (c *CLAM) ResetMetrics() {
+// resetMetrics clears the CLAM's latency histograms and core counters: one
+// shard's step of Store.ResetMetrics.
+func (c *CLAM) resetMetrics() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.insert.Reset()
@@ -899,9 +676,9 @@ func (c *CLAM) ResetMetrics() {
 	c.bh.ResetStats()
 }
 
-// Elapse advances the virtual clock by d, modeling host idle time (during
-// which SSDs perform background garbage collection).
-func (c *CLAM) Elapse(d time.Duration) {
+// elapse advances the CLAM's virtual clock by d: one shard's step of
+// Store.Elapse.
+func (c *CLAM) elapse(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clock.Advance(d)

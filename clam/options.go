@@ -215,9 +215,13 @@ func WithShards(n int) Option {
 }
 
 // WithWorkers bounds the goroutine pool used by the sharded batch
-// operations (default: one worker per shard).
+// operations (default: one worker per shard); n must be positive. A
+// single CLAM runs its batches on the caller's goroutine.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
+		if n < 1 {
+			return fmt.Errorf("clam: WithWorkers(%d): worker count must be positive", n)
+		}
 		c.workers = n
 		return nil
 	}
@@ -241,10 +245,10 @@ func WithBatchChunk(n int) Option {
 }
 
 // Open builds a Store from the given options: a single CLAM by default,
-// or a Sharded deployment with WithShards(n > 1). Both implementations
-// satisfy Store; callers that need implementation-specific surface
-// (per-shard inspection, the core handle, latency histograms) type-assert
-// to *CLAM or *Sharded.
+// or a Sharded deployment with WithShards(n > 1). Both run the same Store
+// methods, a CLAM as the one-shard case of the router; callers that need
+// implementation-specific surface (per-shard inspection, the core handle,
+// latency histograms) type-assert to *CLAM or *Sharded.
 func Open(opts ...Option) (Store, error) {
 	cfg := config{seed: 1, shards: 1, batchChunk: defaultBatchChunk}
 	for _, opt := range opts {

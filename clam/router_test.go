@@ -308,3 +308,46 @@ func TestRouterMatchesPerShardBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestSingleKeyOpsAllocs is the allocation guard for single-key calls: a
+// batch of one runs on stack-held one-element slices and the shard's
+// scratch, so a warm store allocates nothing per call on the u64 path or
+// for a byte-key existence probe, and Get allocates only the copy of the
+// value it returns.
+func TestSingleKeyOpsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts; CI runs this guard in a non-race step")
+	}
+	base := []Option{WithDevice(IntelSSD), WithFlash(16 << 20), WithMemory(4 << 20), WithSeed(5)}
+	c := openCLAMT(t, base...)
+	s := openShardedT(t, append(base, WithShards(4))...)
+	for _, st := range []struct {
+		name string
+		s    Store
+	}{{"clam", c}, {"sharded", s}} {
+		key := []byte("single-key")
+		if err := st.s.Put(key, []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.s.PutU64(7, 7); err != nil {
+			t.Fatal(err)
+		}
+		next := uint64(100)
+		for _, op := range []struct {
+			name string
+			want float64
+			run  func()
+		}{
+			{"GetU64", 0, func() { st.s.GetU64(7) }},
+			// A few hundred fresh keys fit in one buffer: no flush.
+			{"PutU64", 0, func() { next++; st.s.PutU64(next, next) }},
+			{"DeleteU64", 0, func() { st.s.DeleteU64(7) }},
+			{"Contains", 0, func() { st.s.Contains(key) }},
+			{"Get", 1, func() { st.s.Get(key) }},
+		} {
+			if got := testing.AllocsPerRun(200, op.run); got != op.want {
+				t.Errorf("%s: %s allocates %.0f per call, want %.0f", st.name, op.name, got, op.want)
+			}
+		}
+	}
+}

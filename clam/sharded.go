@@ -32,7 +32,20 @@ import (
 // Virtual time is per-shard: each shard's clock advances only by the work
 // that shard performed, modeling one device set (and one I/O context) per
 // shard. Aggregate views (Stats, Now) merge the per-shard state on demand.
+//
+// The Store methods come from the embedded router, the same code a CLAM
+// runs with one shard.
 type Sharded struct {
+	router
+}
+
+// router is the one implementation of every Store method. It routes each
+// key to the shard that owns it, runs a batch's shards on a pool of at
+// most workers goroutines, cuts each shard's keys into chunks of at most
+// chunk keys, and hands every chunk to one of the shard's locked chunk
+// operations. A Sharded store embeds a router over its n shards; a CLAM
+// embeds a one-shard router over itself, with one worker, the caller.
+type router struct {
 	shards  []*CLAM
 	shift   uint // 64 - log2(len(shards)); shift ≥ 64 routes everything to shard 0
 	workers int
@@ -53,9 +66,6 @@ func openSharded(cfg config) (*Sharded, error) {
 	}
 	if n&(n-1) != 0 {
 		return nil, fmt.Errorf("clam: WithShards(%d): shard count must be a power of two", n)
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("clam: WithWorkers(%d): worker count must be positive", workers)
 	}
 	if workers > n {
 		workers = n
@@ -79,13 +89,13 @@ func openSharded(cfg config) (*Sharded, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	s := &Sharded{
+	s := &Sharded{router{
 		shards:  make([]*CLAM, n),
 		shift:   64 - uint(bits.Len(uint(n))-1),
 		workers: workers,
 		chunk:   cfg.batchChunk,
 		fpSeed:  seed,
-	}
+	}}
 	for i := range s.shards {
 		po := cfg
 		po.flashBytes = cfg.flashBytes / int64(n)
@@ -105,18 +115,6 @@ func openSharded(cfg config) (*Sharded, error) {
 	return s, nil
 }
 
-// shardIndex routes a key to its owning shard by the top log2(NumShards)
-// bits. Every routing decision — single ops and batch grouping — goes
-// through here.
-func (s *Sharded) shardIndex(key uint64) int {
-	if s.shift >= 64 {
-		return 0
-	}
-	return int(key >> s.shift)
-}
-
-func (s *Sharded) shard(key uint64) *CLAM { return s.shards[s.shardIndex(key)] }
-
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
@@ -126,73 +124,6 @@ func (s *Sharded) Workers() int { return s.workers }
 // Shard exposes shard i for inspection (per-shard stats, clock, device).
 // The returned CLAM is live; its methods take the shard lock as usual.
 func (s *Sharded) Shard(i int) *CLAM { return s.shards[i] }
-
-// --- single-key operations ---
-
-// PutU64 adds or updates a (key, value) mapping on the key's shard.
-func (s *Sharded) PutU64(key, value uint64) error {
-	return s.shard(key).PutU64(key, value)
-}
-
-// UpdateU64 is an alias of PutU64 with the paper's lazy-update semantics
-// (§5.1.1); see Store.
-func (s *Sharded) UpdateU64(key, value uint64) error { return s.PutU64(key, value) }
-
-// GetU64 returns the latest value stored under key.
-func (s *Sharded) GetU64(key uint64) (value uint64, found bool, err error) {
-	return s.shard(key).GetU64(key)
-}
-
-// DeleteU64 lazily removes key (§5.1.1) on its shard.
-func (s *Sharded) DeleteU64(key uint64) error {
-	return s.shard(key).DeleteU64(key)
-}
-
-// Put adds or updates a byte key → value mapping: the key's fingerprint
-// picks the shard, and the record lands in that shard's value log.
-func (s *Sharded) Put(key, value []byte) error {
-	fp := fingerprint(key, s.fpSeed)
-	return s.shards[s.shardIndex(fp)].putRecord(fp, key, value)
-}
-
-// Update is an alias of Put with the paper's lazy-update semantics
-// (§5.1.1); see Store.
-func (s *Sharded) Update(key, value []byte) error { return s.Put(key, value) }
-
-// Get returns the latest value stored under key, verified against the full
-// key bytes.
-func (s *Sharded) Get(key []byte) (value []byte, found bool, err error) {
-	fp := fingerprint(key, s.fpSeed)
-	return s.shards[s.shardIndex(fp)].getRecord(fp, key)
-}
-
-// Delete lazily removes a byte key on its fingerprint's shard.
-func (s *Sharded) Delete(key []byte) error {
-	fp := fingerprint(key, s.fpSeed)
-	return s.shards[s.shardIndex(fp)].deleteFP(fp)
-}
-
-// --- maintenance ---
-
-// Flush forces all shards' buffered entries to flash, flushing shards in
-// parallel across the worker pool.
-func (s *Sharded) Flush() error {
-	all := make([]int, len(s.shards))
-	for i := range all {
-		all[i] = i
-	}
-	return s.runShards(all, func(shard int) error {
-		return s.shards[shard].Flush()
-	})
-}
-
-// Elapse advances every shard's virtual clock by d, modeling fleet-wide
-// idle time (during which SSDs garbage-collect in the background).
-func (s *Sharded) Elapse(d time.Duration) {
-	for _, c := range s.shards {
-		c.Elapse(d)
-	}
-}
 
 // Now returns the furthest-ahead shard clock: the virtual makespan of the
 // work performed so far, the number to report for end-to-end completion
@@ -207,12 +138,124 @@ func (s *Sharded) Now() time.Duration {
 	return max
 }
 
+// shardIndex routes a key to its owning shard by the top log2(len(shards))
+// bits. Every routing decision — single ops and batch grouping — goes
+// through here.
+func (r *router) shardIndex(key uint64) int {
+	if r.shift >= 64 {
+		return 0
+	}
+	return int(key >> r.shift)
+}
+
+func (r *router) shard(key uint64) *CLAM { return r.shards[r.shardIndex(key)] }
+
+// --- single-key operations ---
+//
+// A single-key call is a chunk of one on the key's shard: it runs the same
+// batched pipeline as a batch, on one-element slices that stay on the
+// stack.
+
+// PutU64 adds or updates a (key, value) mapping on the inline fast path.
+func (r *router) PutU64(key, value uint64) error {
+	return r.shard(key).putBatchU64Chunk([]uint64{key}, []uint64{value})
+}
+
+// UpdateU64 is an alias of PutU64 with the paper's lazy-update semantics
+// (§5.1.1): the new version shadows older ones because lookups probe
+// newest-first; there is no existence check and no read-modify-write.
+func (r *router) UpdateU64(key, value uint64) error { return r.PutU64(key, value) }
+
+// GetU64 returns the latest value stored under key.
+func (r *router) GetU64(key uint64) (value uint64, found bool, err error) {
+	var res [1]core.LookupResult
+	err = r.shard(key).getBatchU64Into([]uint64{key}, res[:])
+	return res[0].Value, res[0].Found, err
+}
+
+// DeleteU64 lazily removes key (§5.1.1).
+func (r *router) DeleteU64(key uint64) error {
+	return r.shard(key).deleteBatchU64Chunk([]uint64{key})
+}
+
+// Put adds or updates a byte key → value mapping: the key's fingerprint
+// picks the shard, the record lands in that shard's value log, and the
+// fingerprint maps to the record's pointer.
+func (r *router) Put(key, value []byte) error {
+	fp := fingerprint(key, r.fpSeed)
+	return r.shard(fp).putBatchRecords([]uint64{fp}, [][]byte{key}, [][]byte{value})
+}
+
+// Update is an alias of Put with the paper's lazy-update semantics
+// (§5.1.1); see Store.
+func (r *router) Update(key, value []byte) error { return r.Put(key, value) }
+
+// Get returns the latest value stored under key, verified against the full
+// key bytes in the value-log record.
+func (r *router) Get(key []byte) (value []byte, found bool, err error) {
+	fp := fingerprint(key, r.fpSeed)
+	var values [1][]byte
+	var ok [1]bool
+	err = r.shard(fp).getBatchRecords([]uint64{fp}, [][]byte{key}, values[:], ok[:])
+	return values[0], ok[0], err
+}
+
+// Delete lazily removes a byte key (§5.1.1). The value-log record is
+// reclaimed by the log's circular overwrite.
+func (r *router) Delete(key []byte) error {
+	fp := fingerprint(key, r.fpSeed)
+	return r.shard(fp).deleteBatchFPs([]uint64{fp})
+}
+
+// ContainsU64 reports whether key is present on the fast path. It is
+// GetU64 without returning the value: same probes, same counters.
+func (r *router) ContainsU64(key uint64) (bool, error) {
+	_, found, err := r.GetU64(key)
+	return found, err
+}
+
+// Contains reports whether a record is indexed under key's fingerprint,
+// stopping at the index hit: unlike Get, it skips the value-log record
+// read that would verify the full key bytes, so a duplicate probe costs
+// only the index lookup. The price is the fingerprint-collision false
+// positive rate the paper itself accepts at 32–64-bit fingerprints — a
+// colliding key, or a key whose record the circular log has lapped, can
+// report true. Workloads that need exactness read through Get.
+func (r *router) Contains(key []byte) (bool, error) {
+	fp := fingerprint(key, r.fpSeed)
+	var found [1]bool
+	err := r.shard(fp).containsBatchFPs([]uint64{fp}, found[:])
+	return found[0], err
+}
+
+// --- maintenance ---
+
+// Flush forces every shard's buffered entries to flash, flushing shards in
+// parallel across the worker pool.
+func (r *router) Flush() error {
+	all := make([]int, len(r.shards))
+	for i := range all {
+		all[i] = i
+	}
+	return r.runShards(all, func(shard int) error {
+		return r.shards[shard].flush()
+	})
+}
+
+// Elapse advances every shard's virtual clock by d, modeling host idle
+// time (during which SSDs garbage-collect in the background).
+func (r *router) Elapse(d time.Duration) {
+	for _, c := range r.shards {
+		c.elapse(d)
+	}
+}
+
 // ResetMetrics clears every shard's latency histograms and core counters,
-// so every field of the next Stats snapshot covers the same since-reset
-// window.
-func (s *Sharded) ResetMetrics() {
-	for _, c := range s.shards {
-		c.ResetMetrics()
+// typically after a warm-up phase, so every field of the next Stats
+// snapshot covers the same since-reset window.
+func (r *router) ResetMetrics() {
+	for _, c := range r.shards {
+		c.resetMetrics()
 	}
 }
 
@@ -220,29 +263,15 @@ func (s *Sharded) ResetMetrics() {
 // device and value-log counters are summed, latency histograms are merged
 // before summarizing (so percentiles reflect the true global
 // distribution), and memory footprints are added.
-func (s *Sharded) Stats() Stats {
-	var agg Stats
-	ins := make([]*metrics.Histogram, 0, len(s.shards))
-	lk := make([]*metrics.Histogram, 0, len(s.shards))
-	del := make([]*metrics.Histogram, 0, len(s.shards))
-	wr := make([]*metrics.Histogram, 0, len(s.shards))
-	for _, c := range s.shards {
-		cs, hi, hl, hd, hw := c.snapshot()
-		agg.Core.Merge(cs.Core)
-		agg.Device.Add(cs.Device)
-		agg.ValueDevice.Add(cs.ValueDevice)
-		agg.ValueLog.Add(cs.ValueLog)
-		agg.Memory.Add(cs.Memory)
-		ins = append(ins, hi)
-		lk = append(lk, hl)
-		del = append(del, hd)
-		wr = append(wr, hw)
+func (r *router) Stats() Stats {
+	var st Stats
+	var h [4]metrics.Histogram
+	for _, c := range r.shards {
+		c.snapshot(&st, &h)
 	}
-	agg.InsertLatency = metrics.Merged(ins...).Summarize()
-	agg.LookupLatency = metrics.Merged(lk...).Summarize()
-	agg.DeleteLatency = metrics.Merged(del...).Summarize()
-	agg.WriteLatency = metrics.Merged(wr...).Summarize()
-	return agg
+	st.InsertLatency, st.LookupLatency = h[0].Summarize(), h[1].Summarize()
+	st.DeleteLatency, st.WriteLatency = h[2].Summarize(), h[3].Summarize()
+	return st
 }
 
 // --- batch grouping and the worker pool ---
@@ -253,7 +282,7 @@ func (s *Sharded) Stats() Stats {
 // shards with a non-empty run. Ops that scatter results back record each
 // bucketed key's input position in pos and write results into the
 // group-ordered res/found buffers (GetBatch writes its values into bvals).
-// Instances are pooled on the Sharded because batches run concurrently.
+// Instances are pooled on the router because batches run concurrently.
 type shardGroups struct {
 	start  []int
 	cur    []int // counting-sort cursors
@@ -280,14 +309,14 @@ func resize[T any](buf []T, n int) []T {
 // shardGroups: keys always, vals, bk and bv when non-nil, and input
 // positions when scatter is set. Byte batches pass their fingerprints as
 // keys. Callers return the groups with putGroups.
-func (s *Sharded) group(keys, vals []uint64, bk, bv [][]byte, scatter bool) *shardGroups {
-	g, _ := s.groups.Get().(*shardGroups)
+func (r *router) group(keys, vals []uint64, bk, bv [][]byte, scatter bool) *shardGroups {
+	g, _ := r.groups.Get().(*shardGroups)
 	if g == nil {
-		g = &shardGroups{start: make([]int, len(s.shards)+1), cur: make([]int, len(s.shards))}
+		g = &shardGroups{start: make([]int, len(r.shards)+1), cur: make([]int, len(r.shards))}
 	}
 	clear(g.cur)
 	for _, k := range keys {
-		g.cur[s.shardIndex(k)]++
+		g.cur[r.shardIndex(k)]++
 	}
 	g.shards = g.shards[:0]
 	for sh, n := range g.cur {
@@ -311,7 +340,7 @@ func (s *Sharded) group(keys, vals []uint64, bk, bv [][]byte, scatter bool) *sha
 		g.pos = resize(g.pos, len(keys))
 	}
 	for i, k := range keys {
-		sh := s.shardIndex(k)
+		sh := r.shardIndex(k)
 		at := g.cur[sh]
 		g.cur[sh]++
 		g.keys[at] = k
@@ -331,23 +360,24 @@ func (s *Sharded) group(keys, vals []uint64, bk, bv [][]byte, scatter bool) *sha
 	return g
 }
 
-func (s *Sharded) putGroups(g *shardGroups) {
+func (r *router) putGroups(g *shardGroups) {
 	// Drop the byte-slice references before pooling: a retained shardGroups
 	// must not pin the previous batch's keys and values in memory.
 	clear(g.bkeys)
 	clear(g.bvals)
-	s.groups.Put(g)
+	r.groups.Put(g)
 }
 
 // route runs op over every shard's run in g on the worker pool, cutting
 // each run into WithBatchChunk-sized [lo, hi) chunks from its first key.
 // Each chunk is one core batched-pipeline call and a cancellation point.
 // A chunk error stops that shard's remaining chunks; other shards keep
-// going, and all errors are joined. Work already applied stays applied.
-func (s *Sharded) route(ctx context.Context, g *shardGroups, op func(c *CLAM, lo, hi int) error) error {
-	return s.runShards(g.shards, func(sh int) error {
-		c := s.shards[sh]
-		return forChunks(ctx, g.start[sh], g.start[sh+1], s.chunk, func(lo, hi int) error {
+// going, and their errors are combined as runShards describes. Work
+// already applied stays applied.
+func (r *router) route(ctx context.Context, g *shardGroups, op func(c *CLAM, lo, hi int) error) error {
+	return r.runShards(g.shards, func(sh int) error {
+		c := r.shards[sh]
+		return forChunks(ctx, g.start[sh], g.start[sh+1], r.chunk, func(lo, hi int) error {
 			return op(c, lo, hi)
 		})
 	})
@@ -357,9 +387,10 @@ func (s *Sharded) route(ctx context.Context, g *shardGroups, op func(c *CLAM, lo
 // goroutines, the caller's included. Workers claim shards in list order and
 // run each to completion before taking the next, so a shard is only ever
 // driven by one worker and sees its operations in input order. Every shard
-// is attempted whatever the others return; the errors are joined in shard
-// order.
-func (s *Sharded) runShards(shards []int, run func(shard int) error) error {
+// is attempted whatever the others return. A lone error is returned as it
+// is, so a CLAM's errors keep their identity and a canceled batch returns
+// ctx.Err() itself; several are joined in shard order.
+func (r *router) runShards(shards []int, run func(shard int) error) error {
 	errs := make([]error, len(shards))
 	var next atomic.Int64
 	work := func() {
@@ -368,7 +399,7 @@ func (s *Sharded) runShards(shards []int, run func(shard int) error) error {
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(s.workers, len(shards)); w++ {
+	for w := 1; w < min(r.workers, len(shards)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -388,6 +419,9 @@ func (s *Sharded) runShards(shards []int, run func(shard int) error) error {
 			joined = append(joined, err)
 		}
 	}
+	if len(joined) == 1 {
+		return joined[0]
+	}
 	return errors.Join(joined...)
 }
 
@@ -399,14 +433,14 @@ func (s *Sharded) runShards(shards []int, run func(shard int) error) error {
 // every flush the chunk triggers is issued as one address-sorted
 // overlapped write submission. Within a shard the batch preserves input
 // order; across shards there is no ordering. On error (or cancellation)
-// the batch may be partially applied; all errors are joined.
-func (s *Sharded) PutBatchU64(ctx context.Context, keys, values []uint64) error {
+// the batch may be partially applied (see runShards for the error).
+func (r *router) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatchU64 length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	g := s.group(keys, values, nil, nil, false)
-	defer s.putGroups(g)
-	return s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+	g := r.group(keys, values, nil, nil, false)
+	defer r.putGroups(g)
+	return r.route(ctx, g, func(c *CLAM, lo, hi int) error {
 		return c.putBatchU64Chunk(g.keys[lo:hi], g.vals[lo:hi])
 	})
 }
@@ -417,11 +451,11 @@ func (s *Sharded) PutBatchU64(ctx context.Context, keys, values []uint64) error 
 // I/O, and the flash phase dedupes keys on the same page, sorts probes by
 // device address, and overlaps them across the device's queue lanes.
 // Shards run in parallel on the worker pool; ctx cancels between chunks.
-func (s *Sharded) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
-	g := s.group(keys, nil, nil, nil, true)
-	defer s.putGroups(g)
+func (r *router) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
+	g := r.group(keys, nil, nil, nil, true)
+	defer r.putGroups(g)
 	g.res = resize(g.res, len(keys))
-	if err := s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+	if err := r.route(ctx, g, func(c *CLAM, lo, hi int) error {
 		return c.getBatchU64Into(g.keys[lo:hi], g.res[lo:hi])
 	}); err != nil {
 		return nil, nil, err
@@ -436,10 +470,10 @@ func (s *Sharded) GetBatchU64(ctx context.Context, keys []uint64) (values []uint
 
 // DeleteBatchU64 lazily removes len(keys) keys, grouped and dispatched like
 // PutBatchU64, with each chunk applied as one batched core delete.
-func (s *Sharded) DeleteBatchU64(ctx context.Context, keys []uint64) error {
-	g := s.group(keys, nil, nil, nil, false)
-	defer s.putGroups(g)
-	return s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+func (r *router) DeleteBatchU64(ctx context.Context, keys []uint64) error {
+	g := r.group(keys, nil, nil, nil, false)
+	defer r.putGroups(g)
+	return r.route(ctx, g, func(c *CLAM, lo, hi int) error {
 		return c.deleteBatchU64Chunk(g.keys[lo:hi])
 	})
 }
@@ -449,8 +483,8 @@ func (s *Sharded) DeleteBatchU64(ctx context.Context, keys []uint64) error {
 // fingerprints computes the batch's fingerprints once into a pooled
 // buffer; they both route the batch and serve as the shards' index keys.
 // Callers return the buffer with putFingerprints when the batch is done.
-func (s *Sharded) fingerprints(keys [][]byte) *[]uint64 {
-	p, _ := s.fps.Get().(*[]uint64)
+func (r *router) fingerprints(keys [][]byte) *[]uint64 {
+	p, _ := r.fps.Get().(*[]uint64)
 	if p == nil {
 		p = new([]uint64)
 	}
@@ -459,12 +493,12 @@ func (s *Sharded) fingerprints(keys [][]byte) *[]uint64 {
 	}
 	*p = (*p)[:len(keys)]
 	for i, k := range keys {
-		(*p)[i] = fingerprint(k, s.fpSeed)
+		(*p)[i] = fingerprint(k, r.fpSeed)
 	}
 	return p
 }
 
-func (s *Sharded) putFingerprints(p *[]uint64) { s.fps.Put(p) }
+func (r *router) putFingerprints(p *[]uint64) { r.fps.Put(p) }
 
 // PutBatch applies len(keys) byte Put operations through the worker pool.
 // Each chunk runs two overlapped write streams on its shard: the chunk's
@@ -473,15 +507,20 @@ func (s *Sharded) putFingerprints(p *[]uint64) { s.fps.Put(p) }
 // pointers run through the core batched insert pipeline with overlapped
 // flush writes — the write-side mirror of GetBatch's two read streams. See
 // PutBatchU64 for ordering and error semantics.
-func (s *Sharded) PutBatch(ctx context.Context, keys, values [][]byte) error {
+func (r *router) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatch length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	fpp := s.fingerprints(keys)
-	defer s.putFingerprints(fpp)
-	g := s.group(*fpp, nil, keys, values, false)
-	defer s.putGroups(g)
-	return s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+	// Shards are alike, so shard 0 tells whether a value log exists; a
+	// missing one fails the batch before ctx is checked.
+	if len(keys) > 0 && r.shards[0].vlog == nil {
+		return ErrNoValueLog
+	}
+	fpp := r.fingerprints(keys)
+	defer r.putFingerprints(fpp)
+	g := r.group(*fpp, nil, keys, values, false)
+	defer r.putGroups(g)
+	return r.route(ctx, g, func(c *CLAM, lo, hi int) error {
 		return c.putBatchRecords(g.keys[lo:hi], g.bkeys[lo:hi], g.bvals[lo:hi])
 	})
 }
@@ -490,16 +529,19 @@ func (s *Sharded) PutBatch(ctx context.Context, keys, values [][]byte) error {
 // two overlapped I/O streams on its shard: the core batched index pipeline
 // resolves fingerprints to record pointers, then the chunk's surviving
 // value-log records are fetched as one overlapped batched read.
-func (s *Sharded) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
-	fpp := s.fingerprints(keys)
-	defer s.putFingerprints(fpp)
-	g := s.group(*fpp, nil, keys, nil, true)
-	defer s.putGroups(g)
+func (r *router) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
+	if len(keys) > 0 && r.shards[0].vlog == nil {
+		return nil, nil, ErrNoValueLog
+	}
+	fpp := r.fingerprints(keys)
+	defer r.putFingerprints(fpp)
+	g := r.group(*fpp, nil, keys, nil, true)
+	defer r.putGroups(g)
 	g.bvals = resize(g.bvals, len(keys))
 	g.found = resize(g.found, len(keys))
 	clear(g.bvals) // getBatchRecords writes only the keys it finds
 	clear(g.found)
-	if err := s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+	if err := r.route(ctx, g, func(c *CLAM, lo, hi int) error {
 		return c.getBatchRecords(g.keys[lo:hi], g.bkeys[lo:hi], g.bvals[lo:hi], g.found[lo:hi])
 	}); err != nil {
 		return nil, nil, err
@@ -514,41 +556,27 @@ func (s *Sharded) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte,
 
 // DeleteBatch lazily removes len(keys) byte keys through the worker pool,
 // applying each chunk as one batched core delete.
-func (s *Sharded) DeleteBatch(ctx context.Context, keys [][]byte) error {
-	fpp := s.fingerprints(keys)
-	defer s.putFingerprints(fpp)
-	g := s.group(*fpp, nil, nil, nil, false)
-	defer s.putGroups(g)
-	return s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+func (r *router) DeleteBatch(ctx context.Context, keys [][]byte) error {
+	fpp := r.fingerprints(keys)
+	defer r.putFingerprints(fpp)
+	g := r.group(*fpp, nil, nil, nil, false)
+	defer r.putGroups(g)
+	return r.route(ctx, g, func(c *CLAM, lo, hi int) error {
 		return c.deleteBatchFPs(g.keys[lo:hi])
 	})
-}
-
-// --- existence probes ---
-
-// ContainsU64 reports whether a fast-path key is present on its shard.
-func (s *Sharded) ContainsU64(key uint64) (bool, error) {
-	return s.shard(key).ContainsU64(key)
-}
-
-// Contains reports whether a record is indexed under key on its
-// fingerprint's shard, with CLAM.Contains's no-record-read tradeoff.
-func (s *Sharded) Contains(key []byte) (bool, error) {
-	fp := fingerprint(key, s.fpSeed)
-	return s.shards[s.shardIndex(fp)].containsFP(fp)
 }
 
 // ContainsBatch probes len(keys) byte keys through the worker pool and the
 // batched index pipeline, returning per-key existence in input order. No
 // value-log records are read (Contains's tradeoff), so each chunk costs
 // exactly its overlapped index probes.
-func (s *Sharded) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
-	fpp := s.fingerprints(keys)
-	defer s.putFingerprints(fpp)
-	g := s.group(*fpp, nil, nil, nil, true)
-	defer s.putGroups(g)
+func (r *router) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
+	fpp := r.fingerprints(keys)
+	defer r.putFingerprints(fpp)
+	g := r.group(*fpp, nil, nil, nil, true)
+	defer r.putGroups(g)
 	g.found = resize(g.found, len(keys))
-	if err := s.route(ctx, g, func(c *CLAM, lo, hi int) error {
+	if err := r.route(ctx, g, func(c *CLAM, lo, hi int) error {
 		return c.containsBatchFPs(g.keys[lo:hi], g.found[lo:hi])
 	}); err != nil {
 		return nil, err

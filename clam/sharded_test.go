@@ -26,6 +26,9 @@ func TestOpenShardedValidation(t *testing.T) {
 		{"non-power-of-two", append(base[:3:3], WithShards(3))},
 		{"negative shards", append(base[:3:3], WithShards(-4))},
 		{"negative workers", append(base[:3:3], WithShards(4), WithWorkers(-1))},
+		{"zero workers", append(base[:3:3], WithShards(4), WithWorkers(0))},
+		{"negative workers, unsharded", append(base[:3:3], WithWorkers(-1))},
+		{"zero workers, unsharded", append(base[:3:3], WithWorkers(0))},
 		{"shared clock", append(base[:3:3], WithShards(4), WithClock(vclock.New()))},
 		{"indivisible flash", []Option{WithDevice(IntelSSD), WithFlash(32<<20 + 1), WithMemory(8 << 20), WithShards(4)}},
 		{"zero flash", []Option{WithShards(4)}},

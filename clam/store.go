@@ -8,9 +8,10 @@ import (
 	"repro/internal/hashutil"
 )
 
-// Store is the one public API of the package, implemented by both CLAM
-// (the paper's single blocking-I/O instance) and Sharded (the horizontal
-// scaling path). A Store is a content-addressable map from byte-slice keys
+// Store is the one public API of the package. Its methods are written
+// once, on the router that both CLAM (the paper's single blocking-I/O
+// instance, routed as one shard) and Sharded (the horizontal scaling path)
+// embed. A Store is a content-addressable map from byte-slice keys
 // — content fingerprints, names, anything — to variable-length byte
 // values, with a zero-overhead 64-bit fast path for the paper's
 // fingerprint → address workloads.
@@ -53,9 +54,13 @@ import (
 // # Batches and cancellation
 //
 // The batch calls take a context checked before each chunk (see
-// WithBatchChunk): a canceled batch stops between chunks and returns
-// ctx.Err() joined with any chunk errors. Operations already applied stay
-// applied — cancellation is early return, not rollback.
+// WithBatchChunk): a canceled batch stops between chunks. Each shard of a
+// batch stops at its first error. When one shard fails — on a CLAM there
+// is only one — its error is returned as it is, so a canceled batch
+// returns ctx.Err() itself and err == context.Canceled holds. Errors from
+// several shards are joined with errors.Join, with ctx.Err() kept once.
+// Operations already applied stay applied — cancellation is early return,
+// not rollback.
 type Store interface {
 	// Put adds or updates a key → value mapping.
 	Put(key, value []byte) error

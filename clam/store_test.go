@@ -96,25 +96,25 @@ func TestBatchCancellation(t *testing.T) {
 		name string
 		s    Store
 	}{{"clam", c}, {"sharded", s}} {
-		if err := st.s.PutBatchU64(ctx, keys, vals); !errors.Is(err, context.Canceled) {
+		if err := st.s.PutBatchU64(ctx, keys, vals); err != context.Canceled {
 			t.Fatalf("%s: canceled PutBatchU64 returned %v", st.name, err)
 		}
-		if err := st.s.PutBatch(ctx, bkeys, bvals); !errors.Is(err, context.Canceled) {
+		if err := st.s.PutBatch(ctx, bkeys, bvals); err != context.Canceled {
 			t.Fatalf("%s: canceled PutBatch returned %v", st.name, err)
 		}
-		if _, _, err := st.s.GetBatchU64(ctx, keys); !errors.Is(err, context.Canceled) {
+		if _, _, err := st.s.GetBatchU64(ctx, keys); err != context.Canceled {
 			t.Fatalf("%s: canceled GetBatchU64 returned %v", st.name, err)
 		}
-		if _, _, err := st.s.GetBatch(ctx, bkeys); !errors.Is(err, context.Canceled) {
+		if _, _, err := st.s.GetBatch(ctx, bkeys); err != context.Canceled {
 			t.Fatalf("%s: canceled GetBatch returned %v", st.name, err)
 		}
-		if _, err := st.s.ContainsBatch(ctx, bkeys); !errors.Is(err, context.Canceled) {
+		if _, err := st.s.ContainsBatch(ctx, bkeys); err != context.Canceled {
 			t.Fatalf("%s: canceled ContainsBatch returned %v", st.name, err)
 		}
-		if err := st.s.DeleteBatchU64(ctx, keys); !errors.Is(err, context.Canceled) {
+		if err := st.s.DeleteBatchU64(ctx, keys); err != context.Canceled {
 			t.Fatalf("%s: canceled DeleteBatchU64 returned %v", st.name, err)
 		}
-		if err := st.s.DeleteBatch(ctx, bkeys); !errors.Is(err, context.Canceled) {
+		if err := st.s.DeleteBatch(ctx, bkeys); err != context.Canceled {
 			t.Fatalf("%s: canceled DeleteBatch returned %v", st.name, err)
 		}
 		if got := st.s.Stats().Core.Inserts; got != 0 {
