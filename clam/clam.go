@@ -278,10 +278,7 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 			// Each of a filter's m bits costs one bit per incarnation: a
 			// row of k bits, held in a lane of bitslice.LaneBits(k) bits
 			// in the bit-sliced bank.
-			rowBits := int64(k)
-			if !cfg.disableBitslice {
-				rowBits = int64(bitslice.LaneBits(k))
-			}
+			rowBits := int64(bitslice.LaneBits(k))
 			entries := nt * rowBits * int64(bufBytes/32) // n′ × row bits, all tables
 			fbe = int(bloomBytes * 8 / entries)
 			if fbe < 1 {
@@ -307,8 +304,6 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 		Policy:             cfg.policy,
 		Retain:             cfg.retain,
 		Seed:               seed,
-		DisableBloom:       cfg.disableBloom,
-		DisableBitslice:    cfg.disableBitslice,
 	}, nil
 }
 
@@ -656,13 +651,6 @@ func (c *CLAM) snapshot(st *Stats, h *[4]metrics.Histogram) {
 		h[i].Merge(src)
 	}
 }
-
-// InsertHistogram returns the insert latency histogram (callers must not
-// race it against operations; quiesce first).
-func (c *CLAM) InsertHistogram() *metrics.Histogram { return &c.insert }
-
-// LookupHistogram returns the lookup latency histogram.
-func (c *CLAM) LookupHistogram() *metrics.Histogram { return &c.lookup }
 
 // resetMetrics clears the CLAM's latency histograms and core counters: one
 // shard's step of Store.ResetMetrics.

@@ -219,20 +219,6 @@ func TestPriorityPolicyThroughFacade(t *testing.T) {
 	}
 }
 
-func TestAblationSwitches(t *testing.T) {
-	for _, extra := range []Option{WithoutBloom(), WithoutBitslice()} {
-		c := openCLAMT(t, WithDevice(IntelSSD), WithFlash(8<<20), WithMemory(2<<20), extra)
-		for i := uint64(0); i < 30000; i++ {
-			if err := c.PutU64(i, i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if v, ok, _ := c.GetU64(29999); !ok || v != 29999 {
-			t.Fatal("ablated CLAM lost data")
-		}
-	}
-}
-
 func TestMemoryBudgetTooSmall(t *testing.T) {
 	// A memory budget smaller than one buffer cannot work.
 	_, err := Open(WithDevice(IntelSSD), WithFlash(1<<30), WithMemory(64<<10))

@@ -35,9 +35,6 @@ type config struct {
 	seed  uint64
 	clock *vclock.Clock
 
-	disableBloom    bool
-	disableBitslice bool
-
 	shards     int
 	workers    int
 	batchChunk int
@@ -179,23 +176,6 @@ func WithSeed(seed uint64) Option {
 func WithClock(clock *vclock.Clock) Option {
 	return func(c *config) error {
 		c.clock = clock
-		return nil
-	}
-}
-
-// WithoutBloom disables Bloom filters (§7.3.1 ablation).
-func WithoutBloom() Option {
-	return func(c *config) error {
-		c.disableBloom = true
-		return nil
-	}
-}
-
-// WithoutBitslice replaces the bit-sliced Bloom bank with separate filters
-// (§7.3.1 ablation); answers are identical, CPU cost higher.
-func WithoutBitslice() Option {
-	return func(c *config) error {
-		c.disableBitslice = true
 		return nil
 	}
 }

@@ -78,9 +78,8 @@ type batchScratch struct {
 // per-key outcomes into results (which must have the same length). Results
 // and the structural counters match a loop of Lookup calls (batches of one)
 // over the same keys key-for-key; virtual time is lower because each
-// probing round's flash reads are deduped, sorted and overlapped through
-// storage.BatchReader (devices without BatchReader fall back to serial
-// reads and still benefit from dedupe and address ordering).
+// probing round's flash reads are deduped, sorted and overlapped in one
+// ReadBatch submission.
 //
 // One semantic carve-out, documented rather than hidden: under the LRU
 // policy, re-insertions triggered by flash hits land in the buffer only as
@@ -164,12 +163,8 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 			bs.dev = b.serveStaged(bs.reqs, bs.dev[:0])
 			dev = bs.dev
 		}
-		if b.reader != nil {
-			if _, err := b.reader.ReadBatch(dev); err != nil {
-				return fmt.Errorf("core: batched incarnation read: %w", err)
-			}
-		} else if _, err := storage.ReadBatchFallback(b.cfg.Device, dev); err != nil {
-			return fmt.Errorf("core: incarnation read: %w", err)
+		if _, err := b.cfg.Device.ReadBatch(dev); err != nil {
+			return fmt.Errorf("core: batched incarnation read: %w", err)
 		}
 
 		// Phase C: resolve each probe against its (deduped) page image.

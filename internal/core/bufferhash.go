@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/bitslice"
@@ -29,7 +27,6 @@ type LookupResult struct {
 type BufferHash struct {
 	cfg    Config
 	layout Layout
-	reader storage.BatchReader // cfg.Device as a BatchReader, or nil
 	parts  []*superTable
 	params []cuckoo.Params // per-partition cuckoo parameters
 	stats  Stats
@@ -45,14 +42,14 @@ type BufferHash struct {
 	imageSize int
 	imgPool   [][]byte // free image-sized buffers (flush serialization, eviction scans)
 	batch     batchScratch
-	insert    insertScratch
 
 	// staged holds every flushed image not yet on the device. A flush
 	// serializes its image here; the op that triggered it submits the lot
-	// as one address-sorted overlapped BatchWriter submission. Until a
+	// as one address-sorted overlapped WriteBatch submission. Until a
 	// submission succeeds, the staged buffer is the readable copy of its
 	// incarnation: readImage and LookupBatch serve its addresses from it.
-	staged []stagedWrite
+	staged    []stagedWrite
+	stageReqs []storage.WriteReq // flushStaged submission scratch
 
 	// cpuDebt accrues chargeCPU costs; every op lands it on the clock in
 	// one advance (settleCPUDebt) before its device submission. It is a
@@ -82,7 +79,6 @@ func New(cfg Config) (*BufferHash, error) {
 		routeSeed: hashutil.Mix64(cfg.Seed),
 	}
 	nt := cfg.NumSuperTables()
-	b.reader, _ = cfg.Device.(storage.BatchReader)
 	b.params = make([]cuckoo.Params, nt)
 	pageSlots := cfg.Device.Geometry().PageSize / hashutil.EntrySize
 	for i := range b.params {
@@ -174,49 +170,35 @@ func (b *BufferHash) stagedImage(addr int64) (img []byte, start int64) {
 }
 
 // flushStaged issues every staged image as one address-sorted overlapped
-// submission through the device's BatchWriter (plain devices fall back to
-// a sorted serial loop) and recycles the written buffers.
+// WriteBatch submission and recycles the written buffers.
 //
-// The failure rule: an image whose write fails stays in staged as the
-// readable copy of its incarnation. A BatchWriter submission that fails
-// wrote nothing (the device models check faults before writing anything),
-// so all its images stay; the serial fallback stops at its first failing
-// write, so the images it landed before that are released and only the
-// rest stay. The failing op returns the error with its entries applied and
-// readable, and the next InsertBatch or Flush submits the staged images
-// again.
+// The failure rule: a WriteBatch that fails writes nothing (see
+// storage.BatchWriter), so every image stays in staged as the readable
+// copy of its incarnation. The failing op returns the error with its
+// entries applied and readable, and the next InsertBatch or Flush submits
+// the staged images again. Raw NAND's one exception, a program-order
+// failure after earlier requests were written, never arises here: images
+// are whole erase blocks, and PartitionedRegions erases a slot before
+// reusing it.
 func (b *BufferHash) flushStaged() error {
 	if len(b.staged) == 0 {
 		return nil
 	}
-	// In address order, staged matches the order both the BatchWriter and
-	// the fallback write in, so the images that landed are a prefix.
-	slices.SortFunc(b.staged, func(x, y stagedWrite) int { return cmp.Compare(x.addr, y.addr) })
-	is := &b.insert
-	is.reqs = is.reqs[:0]
+	reqs := b.stageReqs[:0]
 	for _, s := range b.staged {
-		is.reqs = append(is.reqs, storage.WriteReq{P: s.buf, Off: s.addr})
+		reqs = append(reqs, storage.WriteReq{P: s.buf, Off: s.addr})
 	}
-	landed := len(is.reqs)
-	var err error
-	if bw, ok := b.cfg.Device.(storage.BatchWriter); ok {
-		if _, err = bw.WriteBatch(is.reqs); err != nil {
-			landed = 0
-		}
-	} else {
-		landed, _, err = storage.WriteBatchFallback(b.cfg.Device, is.reqs)
-	}
-	clear(is.reqs)
-	// Release the images that reached the device; the rest stay staged.
-	for _, s := range b.staged[:landed] {
-		b.releaseImage(s.buf)
-	}
-	n := copy(b.staged, b.staged[landed:])
-	clear(b.staged[n:])
-	b.staged = b.staged[:n]
+	_, err := b.cfg.Device.WriteBatch(reqs)
+	clear(reqs)
+	b.stageReqs = reqs
 	if err != nil {
 		return fmt.Errorf("core: batched incarnation write: %w", err)
 	}
+	for _, s := range b.staged {
+		b.releaseImage(s.buf)
+	}
+	clear(b.staged)
+	b.staged = b.staged[:0]
 	return nil
 }
 

@@ -81,9 +81,11 @@ func TestConfigValidation(t *testing.T) {
 // answers Geometry, which is all Config.validate and New consult.
 type hugeDevice struct{ pages int64 }
 
-func (h hugeDevice) ReadAt(b []byte, off int64) (time.Duration, error)  { return 0, nil }
-func (h hugeDevice) WriteAt(b []byte, off int64) (time.Duration, error) { return 0, nil }
-func (h hugeDevice) Counters() storage.Counters                         { return storage.Counters{} }
+func (h hugeDevice) ReadAt(b []byte, off int64) (time.Duration, error)         { return 0, nil }
+func (h hugeDevice) WriteAt(b []byte, off int64) (time.Duration, error)        { return 0, nil }
+func (h hugeDevice) ReadBatch(reqs []storage.ReadReq) (time.Duration, error)   { return 0, nil }
+func (h hugeDevice) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) { return 0, nil }
+func (h hugeDevice) Counters() storage.Counters                                { return storage.Counters{} }
 func (h hugeDevice) Geometry() storage.Geometry {
 	return storage.Geometry{Capacity: h.pages << 11, PageSize: 2048}
 }
@@ -908,41 +910,24 @@ func TestLookupBatchMatchesSerialUpdatePolicy(t *testing.T) {
 	checkBatchAgainstSerial(t, serial, batched, universe, 306)
 }
 
-func TestLookupBatchFlashChipFallbackEquivalence(t *testing.T) {
-	// The raw chip path exercises PartitionedRegions placement; wrapping it
-	// in a plain-Device shim also exercises the non-BatchReader fallback.
-	mk := func(wrap bool) *BufferHash {
+func TestLookupBatchFlashChipEquivalence(t *testing.T) {
+	// The raw chip path exercises PartitionedRegions placement and the
+	// chip's plane-overlapped ReadBatch.
+	mk := func() *BufferHash {
 		clock := vclock.New()
-		cfg := Config{
+		return mustNew(t, Config{
+			Device:             flashchip.New(flashchip.DefaultConfig(1<<20), clock),
 			Clock:              clock,
 			PartitionBits:      1,
 			BufferBytes:        128 << 10,
 			NumIncarnations:    4,
 			FilterBitsPerEntry: 16,
 			Seed:               42,
-		}
-		var dev storage.Device = flashchip.New(flashchip.DefaultConfig(1<<20), clock)
-		if wrap {
-			dev = plainDevice{dev}
-		}
-		cfg.Device = dev
-		return mustNew(t, cfg)
+		})
 	}
-	serial, batched := mk(false), mk(true)
+	serial, batched := mk(), mk()
 	universe := populateTwin(t, serial, batched, 307, 9000, 3000)
 	checkBatchAgainstSerial(t, serial, batched, universe, 308)
-}
-
-// plainDevice hides every optional interface except Eraser (which the
-// PartitionedRegions layout requires), forcing the ReadAt fallback.
-type plainDevice struct{ d storage.Device }
-
-func (p plainDevice) ReadAt(b []byte, off int64) (time.Duration, error)  { return p.d.ReadAt(b, off) }
-func (p plainDevice) WriteAt(b []byte, off int64) (time.Duration, error) { return p.d.WriteAt(b, off) }
-func (p plainDevice) Geometry() storage.Geometry                         { return p.d.Geometry() }
-func (p plainDevice) Counters() storage.Counters                         { return p.d.Counters() }
-func (p plainDevice) Erase(off, n int64) (time.Duration, error) {
-	return p.d.(storage.Eraser).Erase(off, n)
 }
 
 func TestLookupBatchVirtualTimeOverlap(t *testing.T) {
@@ -1146,33 +1131,33 @@ func TestInsertBatchFlashChipEquivalence(t *testing.T) {
 	}
 }
 
-func TestInsertBatchPlainDeviceFallback(t *testing.T) {
-	// Hiding BatchWriter forces the sorted WriteAt fallback; results and
-	// counters must not change.
-	mk := func(wrap bool) *BufferHash {
+func TestInsertBatchFlashChipUpdatePolicy(t *testing.T) {
+	// Partial discard on raw NAND: each slot is erased before reuse, and
+	// eviction scans read images still staged within the batch.
+	mk := func() *BufferHash {
 		clock := vclock.New()
-		var dev storage.Device = flashchip.New(flashchip.DefaultConfig(1<<20), clock)
-		if wrap {
-			dev = plainDevice{dev}
-		}
 		return mustNew(t, Config{
-			Device:             dev,
+			Device:             flashchip.New(flashchip.DefaultConfig(1<<20), clock),
 			Clock:              clock,
 			PartitionBits:      1,
 			BufferBytes:        128 << 10,
 			NumIncarnations:    2,
 			FilterBitsPerEntry: 16,
+			Policy:             UpdateBased,
 			Seed:               42,
 		})
 	}
-	serial, batched := mk(false), mk(true)
-	universe := driveInsertTwin(t, serial, batched, 407, 30000, 10000, 0.05)
+	serial, batched := mk(), mk()
+	universe := driveInsertTwin(t, serial, batched, 407, 60000, 20000, 0.05)
 	checkInsertTwin(t, serial, batched, universe, 408)
+	if batched.Stats().PartialScans == 0 {
+		t.Fatal("update policy never scanned an incarnation; retune the test")
+	}
 }
 
 func TestInsertBatchDuplicateKeysMemoized(t *testing.T) {
-	// A heavily skewed batch: most occurrences hit the last-write-wins
-	// memo, and the outcome must still match serial exactly.
+	// A heavily skewed batch: most occurrences overwrite a key already in
+	// the buffer, and the outcome must still match serial exactly.
 	ca, cb := twinConfigs(t)
 	serial, batched := mustNew(t, ca), mustNew(t, cb)
 	rng := rand.New(rand.NewSource(409))

@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/disk"
 	"repro/internal/flashchip"
@@ -205,113 +203,4 @@ func staleKeys(t *testing.T, b *BufferHash, keys []uint64, n int, val func(versi
 		return ""
 	}
 	return fmt.Sprintf("%d of %d keys stale or missing (first %s)", stale, n, first)
-}
-
-// nthWriteFault is a plain device (no BatchWriter, so submissions take
-// storage.WriteBatchFallback) whose failIn-th WriteAt call from arming
-// fails without writing. It counts the writes that land per address.
-type nthWriteFault struct {
-	storage.Device
-	failIn int // WriteAt calls up to the failing one; 0 = no fault armed
-	writes map[int64]int
-}
-
-var errNthWrite = errors.New("injected fault on the n-th write")
-
-func (d *nthWriteFault) WriteAt(p []byte, off int64) (time.Duration, error) {
-	if d.failIn > 0 {
-		if d.failIn--; d.failIn == 0 {
-			return 0, errNthWrite
-		}
-	}
-	lat, err := d.Device.WriteAt(p, off)
-	if err == nil {
-		d.writes[off]++
-	}
-	return lat, err
-}
-
-// TestFallbackWriteFaultKeepsOnlyUnwritten pins the failure rule on a
-// plain device, whose serial fallback stops part-way: when the k-th write
-// of a submission fails, the k-1 images written before it are released
-// and never written again, only the rest stay staged, and once the fault
-// clears every key reads its latest value.
-func TestFallbackWriteFaultKeepsOnlyUnwritten(t *testing.T) {
-	for _, k := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("write%d", k), func(t *testing.T) {
-			clock := vclock.New()
-			dev := &nthWriteFault{Device: ssd.New(ssd.IntelX18M(), 1<<20, clock), writes: map[int64]int{}}
-			b := mustNew(t, Config{
-				Device:             dev,
-				Clock:              clock,
-				PartitionBits:      1,
-				BufferBytes:        16 << 10,
-				NumIncarnations:    8,
-				FilterBitsPerEntry: 16,
-				Seed:               7,
-			})
-			// 3000 keys over 2 tables of 512-entry buffers: v1 flushes
-			// about 4 images and v2 about 6 more, all to distinct slots of
-			// the 16-slot log.
-			rng := rand.New(rand.NewSource(int64(800 + k)))
-			keys := make([]uint64, 3000)
-			v1, v2 := make([]uint64, len(keys)), make([]uint64, len(keys))
-			for i := range keys {
-				keys[i], v1[i], v2[i] = rng.Uint64(), uint64(i), uint64(i)+1<<32
-			}
-			if err := b.InsertBatch(keys, v1); err != nil {
-				t.Fatal(err)
-			}
-
-			flushes := b.Stats().Flushes
-			before := maps.Clone(dev.writes)
-			dev.failIn = k
-			if err := b.InsertBatch(keys, v2); !errors.Is(err, errNthWrite) {
-				t.Fatalf("InsertBatch under a fault on write %d: %v", k, err)
-			}
-			submitted := int(b.Stats().Flushes - flushes)
-			if submitted <= k {
-				t.Fatalf("only %d images in the submission; need more than %d", submitted, k)
-			}
-			landed := map[int64]bool{}
-			for addr, n := range dev.writes {
-				if n > before[addr] {
-					landed[addr] = true
-				}
-			}
-			if len(landed) != k-1 || len(b.staged) != submitted-(k-1) {
-				t.Fatalf("after write %d of %d failed: %d images landed, %d staged; want %d and %d",
-					k, submitted, len(landed), len(b.staged), k-1, submitted-(k-1))
-			}
-			for _, s := range b.staged {
-				if landed[s.addr] {
-					t.Fatalf("image at %d landed and is still staged", s.addr)
-				}
-			}
-
-			// The fault clears: Flush writes the staged images once and the
-			// landed ones not again.
-			afterFault := maps.Clone(dev.writes)
-			if err := b.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if len(b.staged) != 0 {
-				t.Fatalf("%d images still staged after a clean flush", len(b.staged))
-			}
-			for addr := range landed {
-				if dev.writes[addr] != afterFault[addr] {
-					t.Fatalf("landed image at %d written again", addr)
-				}
-			}
-			res := make([]LookupResult, len(keys))
-			if err := b.LookupBatch(keys, res); err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range res {
-				if !r.Found || r.Value != v2[i] {
-					t.Fatalf("key %d: %+v, want value %#x", i, r, v2[i])
-				}
-			}
-		})
-	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/storage"
-)
+import "fmt"
 
 // The insert pipeline — the write-side twin of the lookup pipeline in
 // batch.go. Every insert runs through it, a single-key Insert as a batch of
@@ -18,18 +14,15 @@ import (
 //	             one deferred clock advance; a key's Bloom staging add is
 //	             charged per insert but set at its buffer's flush. A
 //	             flush's device write is withheld: the image is serialized
-//	             into a pooled buffer and staged. Duplicate keys whose first
-//	             occurrence is still in the buffer are memoized: the
-//	             occurrence collapses to a last-write-wins value overwrite,
-//	             skipping the delete-list probe while still charging the
-//	             full insert's CPU costs and counters.
+//	             into a pooled buffer and staged. A duplicate key still in
+//	             the buffer takes the same insert path: the cuckoo insert
+//	             overwrites its value in place.
 //	B (write):   the deferred CPU debt lands on the clock in one advance;
 //	             then the staged images — every flush the batch triggered,
 //	             plus any a failed submission left pending — are
 //	             address-sorted and issued as one storage.BatchWriter
 //	             submission, overlapping their service across the device's
-//	             queue lanes (SSD NCQ channels, NAND planes, disk elevator;
-//	             plain devices fall back to a sorted serial loop).
+//	             queue lanes (SSD NCQ channels, NAND planes, disk elevator).
 //	             Shared-log layouts allocate consecutive slots, so a batch's
 //	             flushes form sequential runs that pay the fixed write cost
 //	             once.
@@ -52,25 +45,6 @@ import (
 // failed); readImage serves those addresses from the staged buffers, so
 // the scan sees exactly the bytes the device will eventually hold.
 
-// insertMemo caches one distinct key's buffer residency so duplicates
-// collapse to a value overwrite. An entry is valid only while its super
-// table's flushGen is unchanged — a flush moves the buffered entry into an
-// incarnation, and the next occurrence must take the full insert path.
-type insertMemo struct {
-	key      uint64
-	epoch    uint32
-	table    int32
-	flushGen uint64
-}
-
-// insertScratch is reusable InsertBatch state, grown on demand and reused
-// across calls (BufferHash is single-caller by contract).
-type insertScratch struct {
-	memo  []insertMemo // direct-mapped, memoSlots entries
-	epoch uint32
-	reqs  []storage.WriteReq // flushStaged submission scratch
-}
-
 // InsertBatch applies len(keys) inserts through the insert pipeline.
 // State, structural counters and all subsequent lookups do not depend on
 // how a (key, value) sequence is cut into batches; virtual time is lower
@@ -84,48 +58,14 @@ func (b *BufferHash) InsertBatch(keys, values []uint64) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("core: InsertBatch: %d keys, %d values", len(keys), len(values))
 	}
-	is := &b.insert
-	if is.memo == nil {
-		is.memo = make([]insertMemo, memoSlots)
-	}
-	is.epoch++
-	if is.epoch == 0 { // wrapped: stale entries could look current
-		clear(is.memo)
-		is.epoch = 1
-	}
-	cfg := &b.cfg
-
-	// Phase A: apply every key in input order with writes staged. As in
-	// LookupBatch, the first and last keys leave the memo alone.
+	// Phase A: apply every key in input order with writes staged.
 	var applyErr error
-	last := len(keys) - 1
 	for i, key := range keys {
 		st, kh := b.route(key)
 		b.stats.Inserts++
-		slot := &is.memo[key&(memoSlots-1)]
-		if i > 0 && slot.epoch == is.epoch && slot.key == key &&
-			int(slot.table) == st.idx && slot.flushGen == st.flushGen {
-			// Duplicate within the current flush epoch: the key is still in
-			// the buffer, so this occurrence is a pure last-write-wins
-			// overwrite — it cannot fill the buffer and its delete-list
-			// entry was removed by the first occurrence. Charge what a full
-			// insert would and overwrite the value.
-			b.chargeCPU(cfg.CPU.BufferInsert)
-			if err := st.buf.Insert(kh, values[i]); err != nil {
-				applyErr = fmt.Errorf("core: buffer insert: %w", err)
-				break
-			}
-			if st.bank != nil {
-				b.chargeCPU(cfg.CPU.BloomAdd)
-			}
-			continue
-		}
 		if err := st.insert(kh, values[i]); err != nil {
 			applyErr = err
 			break
-		}
-		if i < last {
-			*slot = insertMemo{key: key, epoch: is.epoch, table: int32(st.idx), flushGen: st.flushGen}
 		}
 	}
 

@@ -202,8 +202,4 @@ func (d *Disk) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
 	return total, nil
 }
 
-var (
-	_ storage.Device      = (*Disk)(nil)
-	_ storage.BatchReader = (*Disk)(nil)
-	_ storage.BatchWriter = (*Disk)(nil)
-)
+var _ storage.Device = (*Disk)(nil)

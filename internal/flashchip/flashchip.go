@@ -236,10 +236,14 @@ func (c *Chip) program(off, n int64) error {
 // sequential runs paying the fixed program setup once, and per-request
 // program times overlapped across the chip's planes (multi-plane page
 // program). Every request must be page-aligned, its pages erased, and
-// pages within each block programmed in ascending order. Program order is
-// enforced per request in sorted order: earlier requests of a failing
-// batch remain programmed and are charged, while the failing request and
-// those after it leave the chip and the clock unchanged.
+// pages within each block programmed in ascending order. A range,
+// alignment or fault check that fails writes nothing, as on every device.
+// Program order is the one exception to that rule: it is enforced per
+// request in sorted order, so earlier requests of a failing batch remain
+// programmed and are charged, while the failing request and those after it
+// leave the chip and the clock unchanged. BufferHash never meets it: its
+// images are whole erase blocks, and PartitionedRegions erases a slot
+// before writing it again.
 func (c *Chip) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
 	if len(reqs) == 0 {
 		return 0, nil
@@ -316,8 +320,6 @@ func (c *Chip) Erase(off, n int64) (time.Duration, error) {
 }
 
 var (
-	_ storage.Device      = (*Chip)(nil)
-	_ storage.Eraser      = (*Chip)(nil)
-	_ storage.BatchReader = (*Chip)(nil)
-	_ storage.BatchWriter = (*Chip)(nil)
+	_ storage.Device = (*Chip)(nil)
+	_ storage.Eraser = (*Chip)(nil)
 )

@@ -637,8 +637,6 @@ func (s *SSD) blockMappedBody(off, n int64) time.Duration {
 }
 
 var (
-	_ storage.Device      = (*SSD)(nil)
-	_ storage.Trimmer     = (*SSD)(nil)
-	_ storage.BatchReader = (*SSD)(nil)
-	_ storage.BatchWriter = (*SSD)(nil)
+	_ storage.Device  = (*SSD)(nil)
+	_ storage.Trimmer = (*SSD)(nil)
 )

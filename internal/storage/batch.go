@@ -12,7 +12,7 @@ type ReadReq struct {
 	Off int64
 }
 
-// BatchReader is implemented by devices that can service a set of reads as
+// BatchReader is the read half of every Device: a set of reads serviced as
 // one queued submission, overlapping their service across the device's
 // internal parallelism (SSD channels, NAND planes) and eliminating seeks
 // between address-sorted requests. It is the device half of the batched
@@ -39,7 +39,9 @@ type ReadReq struct {
 //
 // Devices that cannot reorder or overlap simply have one lane, where the
 // model degenerates to the sorted serial sum (still a win on seek-bound
-// media). Callers must treat request buffers as invalid on error.
+// media). A batch that fails a range, alignment or fault check reads
+// nothing and leaves the clock and Counters unchanged. Callers must treat
+// request buffers as invalid on error.
 type BatchReader interface {
 	ReadBatch(reqs []ReadReq) (time.Duration, error)
 }
@@ -99,37 +101,19 @@ func OverlapLanes(svc []time.Duration, lanes int) time.Duration {
 	return max
 }
 
-// ReadBatchFallback services a batch against a plain Device by looping
-// ReadAt in address-sorted order. Latency is the serial sum (each ReadAt
-// advances the clock as usual); sorting still helps seek-bound devices
-// whose cost model tracks head position. It is the correct fallback for
-// devices that do not implement BatchReader.
-func ReadBatchFallback(d Device, reqs []ReadReq) (time.Duration, error) {
-	SortReadReqs(reqs)
-	var total time.Duration
-	for _, r := range reqs {
-		lat, err := d.ReadAt(r.P, r.Off)
-		if err != nil {
-			return total, err
-		}
-		total += lat
-	}
-	return total, nil
-}
-
 // WriteReq is one write of a batched I/O: store P at device offset Off.
 type WriteReq struct {
 	P   []byte
 	Off int64
 }
 
-// BatchWriter is the write-side twin of BatchReader: a set of writes
-// submitted as one queued batch, served in ascending address order with
-// sequential runs paying the fixed command cost once and per-request
-// service times overlapped across the device's queue lanes. It is the
-// device half of the batched insert pipeline: BufferHash collects every
-// incarnation image a batch's flushes produce, sorts them by address, and
-// submits them here in one call.
+// BatchWriter is the write half of every Device, the twin of BatchReader:
+// a set of writes submitted as one queued batch, served in ascending
+// address order with sequential runs paying the fixed command cost once
+// and per-request service times overlapped across the device's queue
+// lanes. It is the device half of the batched insert pipeline: BufferHash
+// collects every incarnation image a batch's flushes produce and submits
+// them here in one call.
 //
 // WriteBatch stores every request's bytes and returns the overlapped
 // service time of the whole batch, advancing the device clock by that
@@ -141,9 +125,13 @@ type WriteReq struct {
 // up front by the whole batch.
 //
 // Requests must respect the same alignment rules as WriteAt and must not
-// overlap one another; on media with program-order constraints (raw NAND)
-// the address-sorted requests must respect them, as full-block incarnation
-// images do by construction.
+// overlap one another. A batch that fails a range, alignment or fault
+// check on any request writes nothing: stored bytes, Counters and the
+// clock stay as they were. On media with program-order constraints (raw
+// NAND) the address-sorted requests must also respect them; a request that
+// breaks program order fails after the requests sorted before it were
+// written (see flashchip.Chip.WriteBatch), which full-block images written
+// to erased blocks never do.
 type BatchWriter interface {
 	WriteBatch(reqs []WriteReq) (time.Duration, error)
 }
@@ -158,21 +146,4 @@ func SortWriteReqs(reqs []WriteReq) {
 			return
 		}
 	}
-}
-
-// WriteBatchFallback services a write batch against a plain Device by
-// looping WriteAt in address-sorted order — the serial sum, the correct
-// fallback for devices without BatchWriter. It sorts reqs in place and
-// stops at the first failing write: landed reports how many requests, the
-// first landed of the sorted reqs, reached the device before it.
-func WriteBatchFallback(d Device, reqs []WriteReq) (landed int, total time.Duration, err error) {
-	SortWriteReqs(reqs)
-	for i, r := range reqs {
-		lat, err := d.WriteAt(r.P, r.Off)
-		if err != nil {
-			return i, total, err
-		}
-		total += lat
-	}
-	return len(reqs), total, nil
 }

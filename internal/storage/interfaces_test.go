@@ -224,10 +224,6 @@ func TestBatchWriterContract(t *testing.T) {
 	for name := range serialDevs {
 		t.Run(name, func(t *testing.T) {
 			sd, bd := serialDevs[name], batchDevs[name]
-			bw, ok := bd.(storage.BatchWriter)
-			if !ok {
-				t.Fatalf("%s does not expose storage.BatchWriter", name)
-			}
 			// 128 KB chunks (whole erase blocks on NAND) at scattered,
 			// non-contiguous addresses, submitted in descending order so the
 			// batch path must sort.
@@ -245,7 +241,7 @@ func TestBatchWriterContract(t *testing.T) {
 				}
 				serialSum += lat
 			}
-			batchLat, err := bw.WriteBatch(reqs)
+			batchLat, err := bd.WriteBatch(reqs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,6 +316,90 @@ func TestBatchWriterProgramOrder(t *testing.T) {
 type ioDevice interface {
 	storage.Device
 	SetFault(storage.FaultFunc)
+}
+
+// TestFailedBatchChangesNothing pins the contract BufferHash's flush rule
+// rests on (a failed WriteBatch leaves every image staged): on every
+// device model, a 5-request ReadBatch or WriteBatch whose fault hook fails
+// request 3 returns the error and leaves the clock, the counters and the
+// stored bytes as they were.
+func TestFailedBatchChangesNothing(t *testing.T) {
+	errInjected := errors.New("injected fault on request 3")
+	for _, tc := range []struct {
+		name string
+		mk   func(*vclock.Clock) ioDevice
+	}{
+		{"ssd-intel", func(c *vclock.Clock) ioDevice { return ssd.New(ssd.IntelX18M(), 4<<20, c) }},
+		{"ssd-transcend", func(c *vclock.Clock) ioDevice { return ssd.New(ssd.TranscendTS32(), 4<<20, c) }},
+		{"chip", func(c *vclock.Clock) ioDevice { return flashchip.New(flashchip.DefaultConfig(4<<20), c) }},
+		{"disk", func(c *vclock.Clock) ioDevice { return disk.New(disk.Hitachi7K80(), 4<<20, c) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := vclock.New()
+			dev := tc.mk(clock)
+			// Five page-aligned 4 KiB requests, each at the start of its own
+			// 128 KiB erase block, with older bytes under the first three.
+			const n, size, stride = 5, 4 << 10, 128 << 10
+			for i := 0; i < 3; i++ {
+				if _, err := dev.WriteAt(bytes.Repeat([]byte{byte('a' + i)}, size), int64(i)*stride); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snapshot := func() []byte {
+				all := make([]byte, n*size)
+				for i := 0; i < n; i++ {
+					if _, err := dev.ReadAt(all[i*size:(i+1)*size], int64(i)*stride); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return all
+			}
+			failThird := func(op storage.Op) storage.FaultFunc {
+				calls := 0
+				return func(o storage.Op, off int64, n int) error {
+					if o != op {
+						return nil
+					}
+					if calls++; calls == 3 {
+						return errInjected
+					}
+					return nil
+				}
+			}
+			for _, op := range []storage.Op{storage.OpRead, storage.OpWrite} {
+				stored := snapshot()
+				now, ctr := clock.Now(), dev.Counters()
+				dev.SetFault(failThird(op))
+				var err error
+				if op == storage.OpRead {
+					reqs := make([]storage.ReadReq, n)
+					for i := range reqs {
+						reqs[i] = storage.ReadReq{P: make([]byte, size), Off: int64(i) * stride}
+					}
+					_, err = dev.ReadBatch(reqs)
+				} else {
+					reqs := make([]storage.WriteReq, n)
+					for i := range reqs {
+						reqs[i] = storage.WriteReq{P: bytes.Repeat([]byte{byte('V' + i)}, size), Off: int64(i) * stride}
+					}
+					_, err = dev.WriteBatch(reqs)
+				}
+				dev.SetFault(nil)
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("%v batch: %v, want the injected fault", op, err)
+				}
+				if clock.Now() != now {
+					t.Fatalf("%v batch moved the clock from %v to %v", op, now, clock.Now())
+				}
+				if got := dev.Counters(); got != ctr {
+					t.Fatalf("%v batch moved the counters from %+v to %+v", op, ctr, got)
+				}
+				if !bytes.Equal(snapshot(), stored) {
+					t.Fatalf("%v batch changed the stored bytes", op)
+				}
+			}
+		})
+	}
 }
 
 // TestSingleRequestIOGolden pins the single-request ReadAt/WriteAt

@@ -16,17 +16,16 @@
 // of directory, not 32 GB). Regions never written, or dropped by an erase
 // or trim, read as the device's fill byte.
 //
-// Besides the one-at-a-time Device interface, devices may implement
-// BatchReader and BatchWriter: queued submissions of many reads or writes
-// whose service times overlap across the device's internal parallelism
-// (SSD channels, NAND planes) after an address sort, with sequential runs
-// paying the fixed command cost once. The batched lookup pipeline in
-// internal/core feeds coalesced flash probes through BatchReader, and the
-// batched insert pipeline feeds the incarnation images its flushes
-// produce through BatchWriter; see those interfaces for the precise
-// three-step overlap model. The simulated media implement ReadAt and
-// WriteAt as a batch of one request, so each has one cost path per
-// direction; ReadBatchFallback and WriteBatchFallback serve plain devices.
+// Every Device is a BatchReader and a BatchWriter: it takes queued
+// submissions of many reads or writes whose service times overlap across
+// the device's internal parallelism (SSD channels, NAND planes) after an
+// address sort, with sequential runs paying the fixed command cost once.
+// The batched lookup pipeline in internal/core feeds coalesced flash
+// probes through ReadBatch, and the batched insert pipeline feeds the
+// incarnation images its flushes produce through WriteBatch; see those
+// interfaces for the precise three-step overlap model. ReadAt and WriteAt
+// are a batch of one request, so each device has one cost path per
+// direction.
 package storage
 
 import (
@@ -123,9 +122,13 @@ func (c *Counters) Add(o Counters) {
 // return an error otherwise. All methods advance the device's clock by the
 // returned latency.
 type Device interface {
-	// ReadAt reads len(p) bytes at off and returns the simulated latency.
+	BatchReader
+	BatchWriter
+	// ReadAt reads len(p) bytes at off and returns the simulated latency:
+	// a ReadBatch of one request.
 	ReadAt(p []byte, off int64) (time.Duration, error)
-	// WriteAt writes len(p) bytes at off and returns the simulated latency.
+	// WriteAt writes len(p) bytes at off and returns the simulated latency:
+	// a WriteBatch of one request.
 	WriteAt(p []byte, off int64) (time.Duration, error)
 	// Geometry returns the device's addressing structure.
 	Geometry() Geometry

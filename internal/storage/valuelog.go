@@ -21,10 +21,10 @@ import (
 // (raw NAND) the log erases each block just before the append head re-enters
 // it after a wrap, preserving program order within blocks.
 //
-// Batched reads go through the device's BatchReader when it implements one,
-// overlapping the records' service times across the device's queue lanes —
-// the "second I/O stream" of a batched Get: first the incarnation page
-// probes overlap, then the value-log record reads overlap.
+// Batched reads go through the device's ReadBatch, overlapping the records'
+// service times across the device's queue lanes — the "second I/O stream"
+// of a batched Get: first the incarnation page probes overlap, then the
+// value-log record reads overlap.
 //
 // A ValueLog is not safe for concurrent use; the clam facade serializes
 // access under the same lock as the hash table.
@@ -438,8 +438,7 @@ func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOf
 
 // ReadRecordsBatch resolves every request's record bytes. Requests whose
 // device portions survive are gathered, address-sorted and issued as one
-// BatchReader submission when the device supports it (falling back to a
-// sorted serial loop), so a batch of record fetches pays the overlapped
+// ReadBatch submission, so a batch of record fetches pays the overlapped
 // service time, not the serial sum. Buffered bytes are copied from the
 // tail buffer. Rec slices alias log-owned scratch valid until the next
 // log call; a request whose pointer does not address a live record region
@@ -477,13 +476,7 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 	if len(l.reqs) == 0 {
 		return nil
 	}
-	var err error
-	if br, ok := l.dev.(BatchReader); ok {
-		_, err = br.ReadBatch(l.reqs)
-	} else {
-		_, err = ReadBatchFallback(l.dev, l.reqs)
-	}
-	if err != nil {
+	if _, err := l.dev.ReadBatch(l.reqs); err != nil {
 		return fmt.Errorf("storage: value log batched read: %w", err)
 	}
 	return nil
