@@ -176,10 +176,7 @@ func (b *BufferHash) stagedImage(addr int64) (img []byte, start int64) {
 // storage.BatchWriter), so every image stays in staged as the readable
 // copy of its incarnation. The failing op returns the error with its
 // entries applied and readable, and the next InsertBatch or Flush submits
-// the staged images again. Raw NAND's one exception, a program-order
-// failure after earlier requests were written, never arises here: images
-// are whole erase blocks, and PartitionedRegions erases a slot before
-// reusing it.
+// the staged images again.
 func (b *BufferHash) flushStaged() error {
 	if len(b.staged) == 0 {
 		return nil

@@ -77,19 +77,17 @@ func (p EvictionPolicy) String() string {
 	}
 }
 
-// Layout selects how incarnations are placed on the device (§5.2).
+// Layout is how incarnations are placed on the device (§5.2). The store
+// derives it from the device and the eviction policy (Config.layout).
 type Layout int
 
 // Layouts.
 const (
-	// AutoLayout picks SharedLog for devices without an Eraser interface
-	// (SSDs, disks) and PartitionedRegions for raw flash chips.
-	AutoLayout Layout = iota
 	// SharedLog writes incarnations from all super tables sequentially
 	// into one device-wide circular log, the paper's SSD strategy: it
 	// avoids interleaving per-partition write streams, which SSD FTLs
 	// handle poorly. Eviction is FIFO over the whole key space.
-	SharedLog
+	SharedLog Layout = iota
 	// PartitionedRegions statically assigns each super table a circular
 	// region, the paper's flash-chip strategy; erase blocks are recycled
 	// within the region.
@@ -156,9 +154,6 @@ type Config struct {
 	// PriorityBased eviction (return true to keep the entry).
 	Policy EvictionPolicy
 	Retain func(key, value uint64) bool
-
-	// Layout selects device placement; AutoLayout is recommended.
-	Layout Layout
 
 	// Seed makes hashing deterministic.
 	Seed uint64
@@ -247,16 +242,13 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// layout resolves AutoLayout. Raw flash chips always use per-super-table
-// regions. On SSDs and disks, FIFO/LRU use the shared circular log of §5.2;
+// layout picks the device placement. Raw flash chips always use
+// per-super-table regions. On SSDs and disks, FIFO/LRU use the shared circular log of §5.2;
 // the partial-discard policies use per-partition rings, because their
 // eviction scan must run in the evicting super table — this matches the
 // paper's actual implementation, which kept "each partition in a separate
 // file with all its incarnations" (§7.1).
 func (c Config) layout() Layout {
-	if c.Layout != AutoLayout {
-		return c.Layout
-	}
 	if _, ok := c.Device.(storage.Eraser); ok {
 		return PartitionedRegions
 	}

@@ -53,14 +53,10 @@ func Hitachi7K80() Profile {
 // Disk is a simulated magnetic disk. It implements storage.Device. Not safe
 // for concurrent use.
 type Disk struct {
-	prof     Profile
-	capacity int64
-	clock    *vclock.Clock
-	store    *storage.SparseStore
-	counters storage.Counters
-	fault    storage.FaultFunc
-	lastEnd  int64 // byte position where the previous op finished (-1 initially)
-	rng      *rand.Rand
+	prof    Profile
+	q       storage.Queue
+	lastEnd int64 // byte position where the previous op finished (-1 initially)
+	rng     *rand.Rand
 }
 
 // New builds a disk of the given capacity (rounded up to whole sectors).
@@ -74,30 +70,37 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *Disk {
 	if capacity%ss != 0 {
 		capacity += ss - capacity%ss
 	}
-	return &Disk{
-		prof:     prof,
-		capacity: capacity,
-		clock:    clock,
-		store:    storage.NewSparseStore(prof.SectorSize, 0),
-		lastEnd:  -1,
-		rng:      rand.New(rand.NewSource(0x715ac)),
+	d := &Disk{
+		prof:    prof,
+		lastEnd: -1,
+		rng:     rand.New(rand.NewSource(0x715ac)),
 	}
+	d.q = storage.Queue{
+		Geometry:   storage.Geometry{Capacity: capacity, PageSize: prof.SectorSize},
+		WriteAlign: 1,
+		Lanes:      1,
+		Store:      storage.NewSparseStore(prof.SectorSize, 0),
+		Clock:      clock,
+		Service:    d.service,
+	}
+	return d
 }
 
 // SetFault installs a fault-injection hook (nil clears it).
-func (d *Disk) SetFault(f storage.FaultFunc) { d.fault = f }
+func (d *Disk) SetFault(f storage.FaultFunc) { d.q.Fault = f }
 
 // Geometry implements storage.Device. BlockSize is 0: disks have no erase
 // constraint.
-func (d *Disk) Geometry() storage.Geometry {
-	return storage.Geometry{Capacity: d.capacity, PageSize: d.prof.SectorSize, BlockSize: 0}
-}
+func (d *Disk) Geometry() storage.Geometry { return d.q.Geometry }
 
 // Counters implements storage.Device.
-func (d *Disk) Counters() storage.Counters { return d.counters }
+func (d *Disk) Counters() storage.Counters { return d.q.Counters }
 
-// service computes the mechanical latency for an access of n bytes at off.
-func (d *Disk) service(off, n int64) time.Duration {
+// service is the Queue's Service: the mechanical latency of an access of
+// n bytes at off. An access that continues where the previous one ended,
+// in this batch or an earlier one, streams from the track buffer and skips
+// seek and rotation; the queue's newRun is not needed.
+func (d *Disk) service(op storage.Op, off, n int64, newRun bool) time.Duration {
 	lat := d.prof.FixedOverhead
 	if off != d.lastEnd {
 		// Seek distance as a fraction of the full stroke.
@@ -110,11 +113,12 @@ func (d *Disk) service(off, n int64) time.Duration {
 				dist = -dist
 			}
 		}
-		frac := float64(dist) / float64(d.capacity)
+		frac := float64(dist) / float64(d.q.Geometry.Capacity)
 		lat += d.prof.TrackToTrack + time.Duration(float64(d.prof.MaxSeekExtra)*math.Sqrt(frac))
 		lat += time.Duration(d.rng.Int63n(int64(d.prof.RotationPeriod)))
 	}
 	lat += time.Duration(float64(n) / d.prof.TransferRate * float64(time.Second))
+	d.lastEnd = off + n
 	return lat
 }
 
@@ -130,76 +134,26 @@ func (d *Disk) WriteAt(p []byte, off int64) (time.Duration, error) {
 	return d.WriteBatch([]storage.WriteReq{{P: p, Off: off}})
 }
 
-// ReadBatch implements storage.BatchReader. A disk has one actuator — one
-// queue lane — so batched reads cannot overlap; the whole win is command
-// queuing: the batch is served in ascending address order (an elevator
-// pass), so the expensive random component (seek + rotational delay) is
-// paid once per discontiguous run instead of once per request, and
-// same-track neighbors stream from the track buffer. The clock advances
-// once by the pass total.
+// ReadBatch implements storage.BatchReader through the disk's queue. A disk
+// has one actuator, one lane, so a batch cannot overlap; the whole win is
+// the elevator pass, which pays seek and rotation once per discontiguous
+// run instead of once per request.
 func (d *Disk) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	g := d.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), 1); err != nil {
-			return 0, err
-		}
-		if d.fault != nil {
-			if err := d.fault(storage.OpRead, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	storage.SortReadReqs(reqs)
-	var total time.Duration
-	for _, r := range reqs {
-		// service() already models sequential continuation via lastEnd:
-		// within the sorted pass, runs skip seek and rotation.
-		total += d.service(r.Off, int64(len(r.P)))
-		d.lastEnd = r.Off + int64(len(r.P))
-		d.store.ReadAt(r.P, r.Off)
-		d.counters.Reads++
-		d.counters.BytesRead += uint64(len(r.P))
-	}
-	d.counters.BusyTime += total
-	d.clock.Advance(total)
-	return total, nil
+	return d.submit(storage.OpRead, reqs)
 }
 
 // WriteBatch implements storage.BatchWriter the same way ReadBatch
-// implements BatchReader: one actuator means no overlap, so the whole win
-// is the elevator pass — ascending address order pays the random component
-// (seek + rotational delay) once per discontiguous run, and contiguous
-// requests stream at media rate. The clock advances once by the pass total.
+// implements BatchReader.
 func (d *Disk) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
+	return d.submit(storage.OpWrite, reqs)
+}
+
+// submit serves one batch through the queue and charges its pass total.
+func (d *Disk) submit(op storage.Op, reqs []storage.ReadReq) (time.Duration, error) {
+	if ok, err := d.q.Admit(op, reqs); !ok {
+		return 0, err
 	}
-	g := d.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), 1); err != nil {
-			return 0, err
-		}
-		if d.fault != nil {
-			if err := d.fault(storage.OpWrite, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	storage.SortWriteReqs(reqs)
-	var total time.Duration
-	for _, r := range reqs {
-		total += d.service(r.Off, int64(len(r.P)))
-		d.lastEnd = r.Off + int64(len(r.P))
-		d.store.WriteAt(r.P, r.Off)
-		d.counters.Writes++
-		d.counters.BytesWritten += uint64(len(r.P))
-	}
-	d.counters.BusyTime += total
-	d.clock.Advance(total)
-	return total, nil
+	return d.q.Charge(d.q.Serve(op, reqs)), nil
 }
 
 var _ storage.Device = (*Disk)(nil)

@@ -68,9 +68,10 @@ type Config struct {
 	BlockSize int   // bytes; default 128 KiB
 	Costs     CostModel
 
-	// Planes is the number of planes a batched read can sense in parallel
-	// (multi-plane page reads). A ReadAt is a batch of one request and so
-	// stays a blocking single-plane operation. 0 or 1 disables overlap.
+	// Planes is the number of planes a batch can sense or program in
+	// parallel (multi-plane operations): the chip's queue lanes. A single
+	// request stays a blocking single-plane operation. 0 or 1 disables
+	// overlap.
 	Planes int
 }
 
@@ -91,13 +92,9 @@ func DefaultConfig(capacity int64) Config {
 // (the paper notes flash I/Os are blocking operations, §5.2).
 type Chip struct {
 	cfg      Config
-	clock    *vclock.Clock
-	store    *storage.SparseStore
+	q        storage.Queue
 	frontier []int32 // per block: number of programmed pages (program order enforcement)
 	eraseCnt []uint32
-	counters storage.Counters
-	fault    storage.FaultFunc
-	batchSvc []time.Duration // ReadBatch/WriteBatch per-request service-time scratch
 }
 
 // New builds a chip. It panics on invalid geometry, since configurations are
@@ -110,25 +107,30 @@ func New(cfg Config, clock *vclock.Clock) *Chip {
 		panic(fmt.Sprintf("flashchip: capacity %d not a multiple of block size %d", cfg.Capacity, cfg.BlockSize))
 	}
 	nBlocks := cfg.Capacity / int64(cfg.BlockSize)
-	return &Chip{
+	c := &Chip{
 		cfg:      cfg,
-		clock:    clock,
-		store:    storage.NewSparseStore(cfg.PageSize, 0xFF),
 		frontier: make([]int32, nBlocks),
 		eraseCnt: make([]uint32, nBlocks),
 	}
+	c.q = storage.Queue{
+		Geometry:   storage.Geometry{Capacity: cfg.Capacity, PageSize: cfg.PageSize, BlockSize: cfg.BlockSize},
+		WriteAlign: cfg.PageSize,
+		Lanes:      cfg.Planes,
+		Store:      storage.NewSparseStore(cfg.PageSize, 0xFF),
+		Clock:      clock,
+		Service:    c.service,
+	}
+	return c
 }
 
 // SetFault installs a fault-injection hook (nil clears it).
-func (c *Chip) SetFault(f storage.FaultFunc) { c.fault = f }
+func (c *Chip) SetFault(f storage.FaultFunc) { c.q.Fault = f }
 
 // Geometry implements storage.Device.
-func (c *Chip) Geometry() storage.Geometry {
-	return storage.Geometry{Capacity: c.cfg.Capacity, PageSize: c.cfg.PageSize, BlockSize: c.cfg.BlockSize}
-}
+func (c *Chip) Geometry() storage.Geometry { return c.q.Geometry }
 
 // Counters implements storage.Device.
-func (c *Chip) Counters() storage.Counters { return c.counters }
+func (c *Chip) Counters() storage.Counters { return c.q.Counters }
 
 // EraseCount returns how many times the block containing off was erased
 // (wear accounting).
@@ -141,165 +143,100 @@ func (c *Chip) ReadAt(p []byte, off int64) (time.Duration, error) {
 	return c.ReadBatch([]storage.ReadReq{{P: p, Off: off}})
 }
 
-// ReadBatch implements storage.BatchReader with the shared overlap model:
-// address-sorted service, sequential runs paying the fixed array-access
-// setup once, and per-request sense+transfer times overlapped across the
-// chip's planes (max lane total, not sum). Reads may start at any byte
-// offset, but latency is charged for every page touched (P2: a sub-page
-// I/O costs at least a full-page I/O).
-func (c *Chip) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	g := c.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), 1); err != nil {
-			return 0, err
-		}
-		if c.fault != nil {
-			if err := c.fault(storage.OpRead, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	storage.SortReadReqs(reqs)
-	ps := int64(c.cfg.PageSize)
-	if cap(c.batchSvc) < len(reqs) {
-		c.batchSvc = make([]time.Duration, len(reqs))
-	}
-	svc := c.batchSvc[:len(reqs)]
-	prevEnd := int64(-1)
-	for i, r := range reqs {
-		firstPage := r.Off / ps
-		lastPage := (r.Off + int64(len(r.P)) - 1) / ps
-		if len(r.P) == 0 {
-			lastPage = firstPage
-		}
-		lat := time.Duration((lastPage-firstPage+1)*ps) * c.cfg.Costs.ReadPerByte
-		if r.Off != prevEnd {
-			lat += c.cfg.Costs.ReadFixed
-		}
-		prevEnd = r.Off + int64(len(r.P))
-		svc[i] = lat
-		c.store.ReadAt(r.P, r.Off)
-		c.counters.Reads++
-		c.counters.BytesRead += uint64(len(r.P))
-	}
-	total := storage.OverlapLanes(svc, c.cfg.Planes)
-	c.counters.BusyTime += total
-	c.clock.Advance(total)
-	return total, nil
-}
-
 // WriteAt programs len(p) bytes at off as a WriteBatch of one request.
 func (c *Chip) WriteAt(p []byte, off int64) (time.Duration, error) {
 	return c.WriteBatch([]storage.WriteReq{{P: p, Off: off}})
 }
 
-// program validates and advances the program-order frontiers of the blocks
-// covered by a page-aligned write of n bytes at off. The frontiers are only
-// mutated once the whole range validates, so a failed request leaves the
-// chip unchanged.
-func (c *Chip) program(off, n int64) error {
-	ps := int64(c.cfg.PageSize)
-	pagesPerBlock := int32(c.cfg.BlockSize / c.cfg.PageSize)
-	type blkRange struct {
-		blk        int64
-		start, end int32 // page indexes within block
+// ReadBatch implements storage.BatchReader through the chip's queue, with
+// its planes as lanes. Reads may start at any byte offset, but every page
+// touched is charged (P2: a sub-page I/O costs at least a full-page I/O).
+func (c *Chip) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
+	if ok, err := c.q.Admit(storage.OpRead, reqs); !ok {
+		return 0, err
 	}
-	var ranges []blkRange
-	for pg := off / ps; pg < (off+n)/ps; {
-		blk := pg / int64(pagesPerBlock)
-		inBlk := int32(pg % int64(pagesPerBlock))
-		endPg := (blk + 1) * int64(pagesPerBlock)
-		if lim := (off + n) / ps; endPg > lim {
-			endPg = lim
-		}
-		count := int32(endPg - pg)
-		if inBlk != c.frontier[blk] {
-			return fmt.Errorf("%w: block %d frontier %d, write starts at page %d",
-				storage.ErrProgramOrder, blk, c.frontier[blk], inBlk)
-		}
-		if inBlk+count > pagesPerBlock {
-			count = pagesPerBlock - inBlk
-		}
-		ranges = append(ranges, blkRange{blk, inBlk, inBlk + count})
-		pg += int64(count)
-	}
-	for _, r := range ranges {
-		c.frontier[r.blk] = r.end
-	}
-	return nil
+	return c.q.Charge(c.q.Serve(storage.OpRead, reqs)), nil
 }
 
-// WriteBatch implements storage.BatchWriter: address-sorted service,
-// sequential runs paying the fixed program setup once, and per-request
-// program times overlapped across the chip's planes (multi-plane page
-// program). Every request must be page-aligned, its pages erased, and
-// pages within each block programmed in ascending order. A range,
-// alignment or fault check that fails writes nothing, as on every device.
-// Program order is the one exception to that rule: it is enforced per
-// request in sorted order, so earlier requests of a failing batch remain
-// programmed and are charged, while the failing request and those after it
-// leave the chip and the clock unchanged. BufferHash never meets it: its
-// images are whole erase blocks, and PartitionedRegions erases a slot
-// before writing it again.
+// WriteBatch implements storage.BatchWriter through the chip's queue, with
+// its planes as lanes. Every request must be page-aligned, and the
+// address-sorted batch must program each block's pages in order, each
+// request continuing where the block's frontier, or the request sorted
+// before it, left off. A batch that breaks program order fails with
+// ErrProgramOrder and programs nothing.
 func (c *Chip) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
+	if ok, err := c.q.Admit(storage.OpWrite, reqs); !ok {
+		return 0, err
 	}
-	g := c.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), c.cfg.PageSize); err != nil {
-			return 0, err
+	if err := c.program(reqs); err != nil {
+		return 0, err
+	}
+	return c.q.Charge(c.q.Serve(storage.OpWrite, reqs)), nil
+}
+
+// service is the Queue's Service: the linear costs of §6.1, a read
+// charged for every page it touches. A new run adds the fixed array-access
+// or program setup.
+func (c *Chip) service(op storage.Op, off, n int64, newRun bool) time.Duration {
+	if op == storage.OpRead {
+		lat := time.Duration(c.q.Geometry.PageSpan(off, n)) * c.cfg.Costs.ReadPerByte
+		if newRun {
+			lat += c.cfg.Costs.ReadFixed
 		}
-		if c.fault != nil {
-			if err := c.fault(storage.OpWrite, r.Off, len(r.P)); err != nil {
-				return 0, err
+		return lat
+	}
+	lat := time.Duration(n) * c.cfg.Costs.WritePerByte
+	if newRun {
+		lat += c.cfg.Costs.WriteFixed
+	}
+	return lat
+}
+
+// program checks that the address-sorted, page-aligned write batch reqs
+// programs every block's pages in order, and only then advances the
+// frontiers, so a batch that breaks the order leaves the chip unchanged. A
+// request sorted after another in the same block must start where the
+// earlier one ended: the earlier request moves the frontier of the block
+// it ends in.
+func (c *Chip) program(reqs []storage.WriteReq) error {
+	ps := int64(c.cfg.PageSize)
+	ppb := int64(c.cfg.BlockSize / c.cfg.PageSize)
+	prevEnd := int64(0) // page after the previous non-empty request
+	for _, r := range reqs {
+		start, end := r.Off/ps, (r.Off+int64(len(r.P)))/ps
+		for pg := start; pg < end; pg = (pg/ppb + 1) * ppb {
+			blk := pg / ppb
+			f := int64(c.frontier[blk])
+			if prevEnd > blk*ppb {
+				f = min(prevEnd-blk*ppb, ppb)
+			}
+			if pg%ppb != f {
+				return fmt.Errorf("%w: block %d frontier %d, write starts at page %d",
+					storage.ErrProgramOrder, blk, f, pg%ppb)
 			}
 		}
-	}
-	storage.SortWriteReqs(reqs)
-	if cap(c.batchSvc) < len(reqs) {
-		c.batchSvc = make([]time.Duration, len(reqs))
-	}
-	svc := c.batchSvc[:len(reqs)]
-	prevEnd := int64(-1)
-	var total time.Duration
-	for i, r := range reqs {
-		n := int64(len(r.P))
-		if err := c.program(r.Off, n); err != nil {
-			// Charge what was serviced so far; the clock must not move for
-			// work that never happened.
-			total = storage.OverlapLanes(svc[:i], c.cfg.Planes)
-			c.counters.BusyTime += total
-			c.clock.Advance(total)
-			return total, err
+		if end > start {
+			prevEnd = end
 		}
-		lat := time.Duration(n) * c.cfg.Costs.WritePerByte
-		if r.Off != prevEnd {
-			lat += c.cfg.Costs.WriteFixed
-		}
-		prevEnd = r.Off + n
-		svc[i] = lat
-		c.store.WriteAt(r.P, r.Off)
-		c.counters.Writes++
-		c.counters.BytesWritten += uint64(n)
 	}
-	total = storage.OverlapLanes(svc, c.cfg.Planes)
-	c.counters.BusyTime += total
-	c.clock.Advance(total)
-	return total, nil
+	for _, r := range reqs {
+		end := (r.Off + int64(len(r.P))) / ps
+		for pg := r.Off / ps; pg < end; pg = (pg/ppb + 1) * ppb {
+			blk := pg / ppb
+			c.frontier[blk] = int32(min(end, (blk+1)*ppb) - blk*ppb)
+		}
+	}
+	return nil
 }
 
 // Erase erases the blocks covering [off, off+n). The range must be
 // block-aligned. Erased pages read back as 0xFF.
 func (c *Chip) Erase(off, n int64) (time.Duration, error) {
-	if err := storage.CheckRange(c.Geometry(), off, n, c.cfg.BlockSize); err != nil {
+	if err := storage.CheckRange(c.q.Geometry, off, n, c.cfg.BlockSize); err != nil {
 		return 0, err
 	}
-	if c.fault != nil {
-		if err := c.fault(storage.OpErase, off, int(n)); err != nil {
+	if c.q.Fault != nil {
+		if err := c.q.Fault(storage.OpErase, off, int(n)); err != nil {
 			return 0, err
 		}
 	}
@@ -312,11 +249,9 @@ func (c *Chip) Erase(off, n int64) (time.Duration, error) {
 		c.frontier[b] = 0
 		c.eraseCnt[b]++
 	}
-	c.store.Drop(off, n)
-	c.counters.Erases += uint64(nBlocks)
-	c.counters.BusyTime += lat
-	c.clock.Advance(lat)
-	return lat, nil
+	c.q.Store.Drop(off, n)
+	c.q.Counters.Erases += uint64(nBlocks)
+	return c.q.Charge(lat), nil
 }
 
 var (

@@ -83,10 +83,10 @@ type Profile struct {
 	// 1 (or 0) means every out-of-order write merges immediately.
 	LogBlockSlots int
 
-	// QueueDepth is the number of internal queue lanes a batched read
-	// submission can overlap across (NCQ over independent flash channels).
-	// 1 (or 0) means batched reads serialize like a loop over ReadAt, minus
-	// the fixed cost on sequential runs.
+	// QueueDepth is the number of internal queue lanes a batch submission
+	// can overlap across (NCQ over independent flash channels). 1 (or 0)
+	// means a batch serializes like a loop over single requests, minus the
+	// fixed cost on sequential runs.
 	QueueDepth int
 
 	Mapping MappingMode
@@ -153,15 +153,15 @@ func TranscendTS32() Profile {
 // SSD is a simulated solid-state disk. It implements storage.Device and
 // storage.Trimmer. Not safe for concurrent use.
 type SSD struct {
-	prof     Profile
-	clock    *vclock.Clock
-	store    *storage.SparseStore
-	counters storage.Counters
-	fault    storage.FaultFunc
+	prof Profile
+	q    storage.Queue
 
 	// Virtual time at which the device last finished servicing an op;
 	// the gap to the next op is idle time available for background GC.
 	busyUntil time.Duration
+	// gcDebt is the synchronous GC the batch in service owes: it
+	// serializes ahead of the batch's overlapped transfers.
+	gcDebt time.Duration
 
 	// --- page-mapped state ---
 	nLogicalPages  int64
@@ -179,8 +179,6 @@ type SSD struct {
 	frontier    []int32 // per logical block: programmed page count
 	everWritten []bool  // per logical block: needs erase before reuse
 	logWrites   int64   // out-of-order writes staged in log blocks
-
-	batchSvc []time.Duration // ReadBatch/WriteBatch per-request service-time scratch
 }
 
 // New builds an SSD with the given usable capacity. Capacity is rounded up
@@ -196,12 +194,16 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *SSD {
 	if prof.EraseOverlap < 1 {
 		prof.EraseOverlap = 1
 	}
-	s := &SSD{
-		prof:  prof,
-		clock: clock,
-		store: storage.NewSparseStore(prof.SectorSize, 0),
-	}
+	s := &SSD{prof: prof}
 	nLogicalBlocks := capacity / bs
+	s.q = storage.Queue{
+		Geometry:   storage.Geometry{Capacity: capacity, PageSize: prof.SectorSize, BlockSize: prof.BlockSize()},
+		WriteAlign: prof.SectorSize,
+		Lanes:      prof.QueueDepth,
+		Store:      storage.NewSparseStore(prof.SectorSize, 0),
+		Clock:      clock,
+		Service:    s.service,
+	}
 	s.nLogicalPages = nLogicalBlocks * int64(prof.BlockPages)
 	switch prof.Mapping {
 	case PageMapped:
@@ -237,38 +239,24 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *SSD {
 }
 
 // SetFault installs a fault-injection hook (nil clears it).
-func (s *SSD) SetFault(f storage.FaultFunc) { s.fault = f }
+func (s *SSD) SetFault(f storage.FaultFunc) { s.q.Fault = f }
 
 // Profile returns the device profile.
 func (s *SSD) Profile() Profile { return s.prof }
 
 // Geometry implements storage.Device. BlockSize is exposed so applications
 // can align batched writes to erase blocks, as BufferHash does.
-func (s *SSD) Geometry() storage.Geometry {
-	return storage.Geometry{
-		Capacity:  s.nLogicalPages / int64(s.prof.BlockPages) * int64(s.prof.BlockSize()),
-		PageSize:  s.prof.SectorSize,
-		BlockSize: s.prof.BlockSize(),
-	}
-}
+func (s *SSD) Geometry() storage.Geometry { return s.q.Geometry }
 
 // Counters implements storage.Device.
-func (s *SSD) Counters() storage.Counters { return s.counters }
+func (s *SSD) Counters() storage.Counters { return s.q.Counters }
 
 // FreeBlocks returns the current erased-block pool size (page-mapped FTL).
 func (s *SSD) FreeBlocks() int { return len(s.freeBlocks) }
 
-// finish charges lat for an op, advances the clock and updates accounting.
-func (s *SSD) finish(lat time.Duration) time.Duration {
-	s.counters.BusyTime += lat
-	s.clock.Advance(lat)
-	s.busyUntil = s.clock.Now()
-	return lat
-}
-
 // creditIdle converts host idle time into background GC budget.
 func (s *SSD) creditIdle() {
-	now := s.clock.Now()
+	now := s.q.Clock.Now()
 	if now <= s.busyUntil {
 		return
 	}
@@ -293,124 +281,70 @@ func (s *SSD) ReadAt(p []byte, off int64) (time.Duration, error) {
 	return s.ReadBatch([]storage.ReadReq{{P: p, Off: off}})
 }
 
-// ReadBatch implements storage.BatchReader with the shared overlap model:
-// requests are served in ascending address order, address-contiguous
-// requests form sequential runs that skip the fixed command cost, and the
-// per-request service times are overlapped across QueueDepth channel lanes
-// (the batch costs the maximum lane total, not the sum). Reads may start at
-// any byte but are charged whole sectors (P2). A batch that arrives while
-// the erased-block pool is depleted pays the pending reclamation once, up
-// front (I/Os block during GC, §7.2.2), rather than once per request.
-func (s *SSD) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	g := s.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), 1); err != nil {
-			return 0, err
-		}
-		if s.fault != nil {
-			if err := s.fault(storage.OpRead, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	s.creditIdle()
-	var base time.Duration
-	if s.prof.Mapping == PageMapped {
-		base = s.gcIfNeeded()
-	}
-	storage.SortReadReqs(reqs)
-	ss := int64(s.prof.SectorSize)
-	if cap(s.batchSvc) < len(reqs) {
-		s.batchSvc = make([]time.Duration, len(reqs))
-	}
-	svc := s.batchSvc[:len(reqs)]
-	prevEnd := int64(-1)
-	for i, r := range reqs {
-		first := r.Off / ss
-		last := (r.Off + int64(len(r.P)) - 1) / ss
-		if len(r.P) == 0 {
-			last = first
-		}
-		lat := time.Duration((last-first+1)*ss) * s.prof.ReadPerByte
-		if r.Off != prevEnd {
-			lat += s.prof.ReadFixed // new run: command setup / channel switch
-		}
-		prevEnd = r.Off + int64(len(r.P))
-		svc[i] = lat
-		s.store.ReadAt(r.P, r.Off)
-		s.counters.Reads++
-		s.counters.BytesRead += uint64(len(r.P))
-	}
-	total := base + storage.OverlapLanes(svc, s.prof.QueueDepth)
-	return s.finish(total), nil
-}
-
 // WriteAt implements storage.Device as a WriteBatch of one request.
 func (s *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 	return s.WriteBatch([]storage.WriteReq{{P: p, Off: off}})
 }
 
-// WriteBatch implements storage.BatchWriter with the shared overlap model:
-// requests are served in ascending address order, address-contiguous
-// requests form sequential runs that skip the fixed command cost, and the
-// per-request transfer times are overlapped across QueueDepth channel
-// lanes. Writes must be sector-aligned. FTL bookkeeping runs per request;
-// synchronous GC debt — pending reclamation plus any emergency reclaims the
-// batch's own allocations force — is charged once to the whole batch and
-// serializes ahead of the overlapped transfers: GC blocks the device
-// (§7.2.2).
+// ReadBatch implements storage.BatchReader through the SSD's queue, with
+// QueueDepth channel lanes. Reads may start at any byte but are charged
+// whole sectors (P2). See submit for the GC debt a batch pays.
+func (s *SSD) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
+	return s.submit(storage.OpRead, reqs)
+}
+
+// WriteBatch implements storage.BatchWriter through the SSD's queue, with
+// QueueDepth channel lanes. Writes must be sector-aligned. The FTL maps
+// each request as WriteAt would; see submit for the GC debt a batch pays.
 func (s *SSD) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	g := s.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), s.prof.SectorSize); err != nil {
-			return 0, err
-		}
-		if s.fault != nil {
-			if err := s.fault(storage.OpWrite, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
+	return s.submit(storage.OpWrite, reqs)
+}
+
+// submit serves one batch. The host idle time before it first earns
+// background GC. Then, if the erased-block pool is depleted, the batch
+// pays the pending reclamation, and a write batch also pays the emergency
+// reclaims its own allocations force. GC blocks the device (§7.2.2), so
+// that debt is paid once per batch and serializes ahead of the overlapped
+// transfers.
+func (s *SSD) submit(op storage.Op, reqs []storage.ReadReq) (time.Duration, error) {
+	if ok, err := s.q.Admit(op, reqs); !ok {
+		return 0, err
 	}
 	s.creditIdle()
-	storage.SortWriteReqs(reqs)
-	var base time.Duration
-	if s.prof.Mapping == PageMapped {
-		base = s.gcIfNeeded()
-	}
-	if cap(s.batchSvc) < len(reqs) {
-		s.batchSvc = make([]time.Duration, len(reqs))
-	}
-	svc := s.batchSvc[:len(reqs)]
-	prevEnd := int64(-1)
-	for i, r := range reqs {
-		n := int64(len(r.P))
-		var lat time.Duration
-		switch s.prof.Mapping {
-		case PageMapped:
-			if n > 0 {
-				s.allocRange(r.Off, n, &base)
-			}
-			lat = time.Duration(n) * s.prof.WritePerByte
-		case BlockMapped:
-			lat = s.blockMappedBody(r.Off, n)
+	s.gcDebt = s.gcIfNeeded()
+	lanes := s.q.Serve(op, reqs)
+	lat := s.q.Charge(s.gcDebt + lanes)
+	s.busyUntil = s.q.Clock.Now()
+	return lat, nil
+}
+
+// service is the Queue's Service. A read costs its whole sectors. A
+// write runs the FTL for its pages: the page-mapped FTL remaps them at the
+// write frontier, adding any emergency reclaim to the batch's GC debt, and
+// the block-mapped FTL appends, erases or merges (blockMappedBody). A new
+// run adds the fixed command cost.
+func (s *SSD) service(op storage.Op, off, n int64, newRun bool) time.Duration {
+	if op == storage.OpRead {
+		lat := time.Duration(s.q.Geometry.PageSpan(off, n)) * s.prof.ReadPerByte
+		if newRun {
+			lat += s.prof.ReadFixed
 		}
-		if r.Off != prevEnd {
-			lat += s.prof.WriteFixed // new run: command setup / channel switch
-		}
-		prevEnd = r.Off + n
-		svc[i] = lat
-		s.store.WriteAt(r.P, r.Off)
-		s.counters.Writes++
-		s.counters.BytesWritten += uint64(n)
+		return lat
 	}
-	total := base + storage.OverlapLanes(svc, s.prof.QueueDepth)
-	return s.finish(total), nil
+	var lat time.Duration
+	switch s.prof.Mapping {
+	case PageMapped:
+		if n > 0 {
+			s.allocRange(off, n, &s.gcDebt)
+		}
+		lat = time.Duration(n) * s.prof.WritePerByte
+	case BlockMapped:
+		lat = s.blockMappedBody(off, n)
+	}
+	if newRun {
+		lat += s.prof.WriteFixed
+	}
+	return lat
 }
 
 // Trim implements storage.Trimmer: it invalidates the mapping for the given
@@ -432,7 +366,7 @@ func (s *SSD) Trim(off, n int64) error {
 			s.frontier[b] = 0
 		}
 	}
-	s.store.Drop(off, n)
+	s.q.Store.Drop(off, n)
 	return nil
 }
 
@@ -512,15 +446,16 @@ func (s *SSD) reclaimOne(cost *time.Duration) bool {
 			*cost += s.prof.EraseTime
 		}
 	}
-	s.counters.PagesMoved += uint64(moved)
-	s.counters.Erases++
+	s.q.Counters.PagesMoved += uint64(moved)
+	s.q.Counters.Erases++
 	s.blockSealed[victim] = false
 	s.freeBlocks = append(s.freeBlocks, victim)
 	return true
 }
 
-// gcIfNeeded runs synchronous reclamation when the pool is at or below the
-// low watermark, returning the latency charged to the triggering op.
+// gcIfNeeded runs synchronous reclamation when the page-mapped FTL's pool
+// is at or below the low watermark, returning the latency charged to the
+// triggering op.
 //
 // Reclamation is incremental — one victim per triggering I/O — so while the
 // pool stays low under sustained random writes, every arriving operation,
@@ -529,10 +464,10 @@ func (s *SSD) reclaimOne(cost *time.Duration) bool {
 // degrade to ~4.6–4.8 ms on the Intel SSD under high write load (§7.2.2).
 func (s *SSD) gcIfNeeded() time.Duration {
 	var cost time.Duration
-	if len(s.freeBlocks) > s.prof.GCLowBlocks {
+	if s.prof.Mapping != PageMapped || len(s.freeBlocks) > s.prof.GCLowBlocks {
 		return 0
 	}
-	s.counters.GCRuns++
+	s.q.Counters.GCRuns++
 	s.reclaimOne(&cost)
 	// Emergency: never leave the pool empty.
 	for iter := int64(0); len(s.freeBlocks) == 0 && iter < 2*s.nPhysBlocks; iter++ {
@@ -557,7 +492,7 @@ func (s *SSD) allocRange(off, n int64, cost *time.Duration) {
 		// next (read or write), which is how sustained random writes end
 		// up slowing reads too (§7.2.2).
 		if len(s.freeBlocks) == 0 {
-			s.counters.GCRuns++
+			s.q.Counters.GCRuns++
 			if !s.reclaimOne(cost) {
 				break
 			}
@@ -594,7 +529,7 @@ func (s *SSD) blockMappedBody(off, n int64) time.Duration {
 			// sequential program at host write speed.
 			if s.everWritten[blk] {
 				lat += s.prof.EraseTime
-				s.counters.Erases++
+				s.q.Counters.Erases++
 			}
 			lat += time.Duration(segEnd-off) * s.prof.WritePerByte
 			s.frontier[blk] = segPages
@@ -621,8 +556,8 @@ func (s *SSD) blockMappedBody(off, n int64) time.Duration {
 				lat += time.Duration(valid) * s.prof.InternalReadTime
 				lat += s.prof.EraseTime
 				lat += time.Duration(bp) * time.Duration(ps) * s.prof.WritePerByte
-				s.counters.Erases++
-				s.counters.PagesMoved += uint64(valid)
+				s.q.Counters.Erases++
+				s.q.Counters.PagesMoved += uint64(valid)
 			}
 			newF := startPage + segPages
 			if newF < f {

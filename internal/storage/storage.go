@@ -17,15 +17,12 @@
 // or trim, read as the device's fill byte.
 //
 // Every Device is a BatchReader and a BatchWriter: it takes queued
-// submissions of many reads or writes whose service times overlap across
-// the device's internal parallelism (SSD channels, NAND planes) after an
-// address sort, with sequential runs paying the fixed command cost once.
-// The batched lookup pipeline in internal/core feeds coalesced flash
-// probes through ReadBatch, and the batched insert pipeline feeds the
-// incarnation images its flushes produce through WriteBatch; see those
-// interfaces for the precise three-step overlap model. ReadAt and WriteAt
-// are a batch of one request, so each device has one cost path per
-// direction.
+// submissions of many reads or writes. The batched lookup pipeline in
+// internal/core feeds coalesced flash probes through ReadBatch, and the
+// batched insert pipeline feeds the incarnation images its flushes produce
+// through WriteBatch. Every device model serves them through one Queue,
+// which holds the overlap model; the model supplies only what one request
+// costs (Queue.Service). ReadAt and WriteAt are a batch of one request.
 package storage
 
 import (
@@ -77,6 +74,18 @@ type Geometry struct {
 
 // Pages returns the number of pages on the device.
 func (g Geometry) Pages() int64 { return g.Capacity / int64(g.PageSize) }
+
+// PageSpan returns the bytes of the whole pages that n bytes at off touch,
+// and one page for a zero-length access: a sub-page I/O costs a full page
+// (P2).
+func (g Geometry) PageSpan(off, n int64) int64 {
+	ps := int64(g.PageSize)
+	first, last := off/ps, (off+n-1)/ps
+	if n == 0 {
+		last = first
+	}
+	return (last - first + 1) * ps
+}
 
 // Blocks returns the number of erase blocks, or 0 if BlockSize is 0.
 func (g Geometry) Blocks() int64 {
