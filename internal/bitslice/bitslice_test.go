@@ -119,19 +119,20 @@ func TestEquivalenceWithNaiveBank(t *testing.T) {
 	}
 }
 
-func TestAddStagingKeysMatchesAddStaging(t *testing.T) {
-	// Property: one AddStagingKeys pass over a slot array with zero holes
-	// sets the staging bits of a loop of AddStaging over its non-zero keys,
-	// so every later QueryStaging, rotation and Query agrees. Each round
-	// stages a fresh slot array (the empty and all-zero arrays included)
-	// and rotates, so the rows fill and the ring wraps. The m values cover
-	// both reductions, the mask at a power of two (one below a word) and
-	// fastrange otherwise.
+func TestAddStagingKeysMatchesPlainFilter(t *testing.T) {
+	// Property: AddStagingKeys over a slot array with zero holes, and
+	// AddStaging per key, set exactly the bits of a plain m-bit filter
+	// probed at hashutil.DoubleHash's positions for the non-zero keys.
+	// Each round stages a fresh slot array (the empty and all-zero arrays
+	// included), alternating the two calls, and rotates, so the bitmap is
+	// cleared between rounds. The m values cover both reductions: the
+	// mask at a power of two (one below a word) and fastrange otherwise;
+	// the h values leave every remainder of fastrange's four-probe passes.
 	for _, m := range []uint64{32, 1 << 12, 1000, 65521} {
-		for _, k := range []int{1, 8, 9, 33} {
-			batched, looped := NewBank(m, k, 7), NewBank(m, k, 7)
+		for _, g := range [][2]int{{1, 1}, {8, 6}, {9, 7}, {16, 33}, {33, 4}} {
+			k, h := g[0], g[1]
+			bank, ref := NewBank(m, k, h), newNaive(m, k, h)
 			rng := rand.New(rand.NewSource(int64(m)*31 + int64(k)))
-			var held []uint64
 			for round := 0; round < 2*k+3; round++ {
 				var slots []uint64
 				switch round {
@@ -146,35 +147,112 @@ func TestAddStagingKeysMatchesAddStaging(t *testing.T) {
 						}
 					}
 				}
-				batched.AddStagingKeys(slots)
+				if round%2 == 0 {
+					bank.AddStagingKeys(slots)
+				} else {
+					for _, kh := range slots {
+						bank.AddStaging(kh)
+					}
+				}
 				for _, kh := range slots {
 					if kh != 0 {
-						looped.AddStaging(kh)
-						held = append(held, kh)
+						ref.AddStaging(kh)
 					}
 				}
-				probes := []uint64{rng.Uint64(), rng.Uint64()}
-				if len(held) > 0 {
-					probes = append(probes, held[len(held)-1], held[rng.Intn(len(held))])
-				}
-				for _, p := range probes {
-					if got, want := batched.QueryStaging(p), looped.QueryStaging(p); got != want {
-						t.Fatalf("m=%d k=%d round %d: QueryStaging(%#x) = %v, want %v", m, k, round, p, got, want)
+				for i, w := range ref.staging {
+					if bank.staging[i] != w {
+						t.Fatalf("m=%d k=%d h=%d round %d: staging word %d = %#x, want %#x",
+							m, k, h, round, i, bank.staging[i], w)
 					}
 				}
-				batched.Rotate()
-				looped.Rotate()
-				for i := range looped.rows {
-					if batched.rows[i] != looped.rows[i] {
-						t.Fatalf("m=%d k=%d round %d: row word %d = %#x, want %#x",
-							m, k, round, i, batched.rows[i], looped.rows[i])
+				bank.Rotate()
+				ref.Rotate()
+			}
+		}
+	}
+}
+
+// refRotate is Rotate written bit by bit: staging bit p goes to lane bit
+// start of row p, whose lane is p mod (64/lane) of row word p/(64/lane).
+func refRotate(b *Bank, rows []uint64) {
+	m, staging := b.m, b.staging
+	per, lane, start := uint64(1)<<b.perLog, uint64(1)<<b.laneLog, uint64(b.start)
+	for w := range rows {
+		row := rows[w]
+		for i := uint64(0); i < per; i++ {
+			p := uint64(w)*per + i
+			if p == m {
+				break
+			}
+			bit := staging[p/64] >> (p % 64) & 1
+			pos := i*lane + start
+			row = row&^(1<<pos) | bit<<pos
+		}
+		rows[w] = row
+	}
+}
+
+func TestRotateMatchesBitwiseTranspose(t *testing.T) {
+	// Rotate's table-driven pass must write the rows a bit-by-bit
+	// transpose writes, word for word, at every lane width and ring
+	// position. The m values leave a partial row word and a partial
+	// staging word; the staging bits are random words of varying density.
+	for _, m := range []uint64{1000, 65521, 196608} {
+		for _, k := range []int{1, 8, 9, 16, 17, 32, 33, 64} {
+			bank := NewBank(m, k, 4)
+			want := make([]uint64, len(bank.rows))
+			rng := rand.New(rand.NewSource(int64(m)*17 + int64(k)))
+			for rot := 0; rot <= 2*k; rot++ {
+				// Each word ANDs 1 to 4 hashes: about 1/2 to 1/16 of its
+				// bits set.
+				x, density := rng.Uint64(), 1+rng.Intn(4)
+				for i := range bank.staging {
+					w := ^uint64(0)
+					for range density {
+						x = hashutil.Mix64(x + 1)
+						w &= x
+					}
+					bank.staging[i] = w
+				}
+				if tail := m % 64; tail != 0 {
+					bank.staging[len(bank.staging)-1] &= 1<<tail - 1
+				}
+				refRotate(bank, want)
+				bank.Rotate()
+				for i, w := range want {
+					if bank.rows[i] != w {
+						t.Fatalf("m=%d k=%d rotation %d: row word %d = %#x, want %#x",
+							m, k, rot, i, bank.rows[i], w)
 					}
 				}
-				for _, p := range probes {
-					if got, want := batched.Query(p), looped.Query(p); got != want {
-						t.Fatalf("m=%d k=%d round %d: Query(%#x) = %#x, want %#x", m, k, round, p, got, want)
+				for i, w := range bank.staging {
+					if w != 0 {
+						t.Fatalf("m=%d k=%d rotation %d: staging word %d = %#x after Rotate", m, k, rot, i, w)
 					}
 				}
+			}
+		}
+	}
+}
+
+func TestBankKernelAllocs(t *testing.T) {
+	// The flush and query kernels allocate nothing at any lane width:
+	// Rotate's table lives on its stack, and AddStaging's one-key array
+	// does not escape.
+	for _, k := range []int{8, 16, 32, 64} {
+		bank := NewBank(shippedM, k, shippedH)
+		slots := make([]uint64, 64)
+		for i := range slots {
+			slots[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+		}
+		for name, fn := range map[string]func(){
+			"Rotate":         bank.Rotate,
+			"AddStagingKeys": func() { bank.AddStagingKeys(slots) },
+			"AddStaging":     func() { bank.AddStaging(slots[3]) },
+			"Query":          func() { sinkMask |= bank.Query(slots[5]) },
+		} {
+			if n := testing.AllocsPerRun(20, fn); n != 0 {
+				t.Errorf("k=%d: %s allocates %v times per call, want 0", k, name, n)
 			}
 		}
 	}
@@ -462,18 +540,53 @@ const (
 	shippedPerBuf = 4096
 )
 
-// BenchmarkBankAddRotate is the write side: one staging add per key, and a
-// rotation (the transpose pass) each time a buffer's worth has been added.
-// ns/op is per key, the rotation amortized.
-func BenchmarkBankAddRotate(b *testing.B) {
-	bank := NewBank(shippedM, shippedK, shippedH)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bank.AddStaging(uint64(i) * 0x9e3779b97f4a7c15)
-		if (i+1)%shippedPerBuf == 0 {
-			bank.Rotate()
+// shippedSlots returns one slot array per incarnation, each a cuckoo
+// buffer's worth: 2·shippedPerBuf slots, half of them holding a key.
+func shippedSlots() [][]uint64 {
+	rng := rand.New(rand.NewSource(1))
+	slots := make([][]uint64, shippedK)
+	for r := range slots {
+		slots[r] = make([]uint64, 2*shippedPerBuf)
+		for _, i := range rng.Perm(2 * shippedPerBuf)[:shippedPerBuf] {
+			slots[r][i] = rng.Uint64() | 1
 		}
 	}
+	return slots
+}
+
+// BenchmarkBankAddRotate is the write side of a flush, as the store runs
+// it: one AddStagingKeys pass over the buffer's slot array, then the
+// rotation. ns/key is per buffered key.
+func BenchmarkBankAddRotate(b *testing.B) {
+	bank := NewBank(shippedM, shippedK, shippedH)
+	slots := shippedSlots()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank.AddStagingKeys(slots[i%shippedK])
+		bank.Rotate()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shippedPerBuf), "ns/key")
+}
+
+// BenchmarkRotate times the rotation alone (the transpose pass), over a
+// staging filter filled with one buffer's keys before each call. ns/key
+// is per buffered key.
+func BenchmarkRotate(b *testing.B) {
+	bank := NewBank(shippedM, shippedK, shippedH)
+	staged := make([][]uint64, shippedK)
+	for r, s := range shippedSlots() {
+		bank.AddStagingKeys(s)
+		staged[r] = append([]uint64(nil), bank.staging...)
+		bank.Rotate()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(bank.staging, staged[i%shippedK])
+		b.StartTimer()
+		bank.Rotate()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shippedPerBuf), "ns/key")
 }
 
 // BenchmarkBankQueryShipped queries a full bank at the shipped geometry;

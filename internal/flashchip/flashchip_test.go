@@ -82,6 +82,11 @@ func TestWriteOutOfRange(t *testing.T) {
 	if _, err := c.WriteAt(make([]byte, 2048), 1<<20); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("err = %v", err)
 	}
+	// A block-aligned erase whose end overflows int64 is out of range, not
+	// a wrapped range that indexes past the block tables.
+	if _, err := c.Erase(131072, 9223372036854644736); !errors.Is(err, storage.ErrOutOfRange) {
+		t.Fatalf("overflowing erase: err = %v", err)
+	}
 }
 
 func TestRewriteWithoutEraseRejected(t *testing.T) {

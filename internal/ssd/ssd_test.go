@@ -3,6 +3,7 @@ package ssd
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -62,6 +63,10 @@ func TestAlignmentEnforced(t *testing.T) {
 	}
 	if _, err := s.WriteAt(make([]byte, 4096), 1<<20); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("out-of-range write accepted: %v", err)
+	}
+	// off+len overflows int64: still out of range, not a wrapped offset.
+	if _, err := s.ReadAt(make([]byte, 4096), math.MaxInt64-4095); !errors.Is(err, storage.ErrOutOfRange) {
+		t.Fatalf("read near MaxInt64 accepted: %v", err)
 	}
 	// Byte-granularity reads are fine (charged per sector).
 	s.WriteAt(make([]byte, 4096), 0)

@@ -166,9 +166,10 @@ var (
 )
 
 // CheckRange validates [off, off+n) against the geometry and the alignment
-// unit `align`.
+// unit `align`. It compares n with the room left after off, so no off or
+// n, however large, can wrap the test.
 func CheckRange(g Geometry, off, n int64, align int) error {
-	if off < 0 || n < 0 || off+n > g.Capacity {
+	if off < 0 || n < 0 || n > g.Capacity-off {
 		return fmt.Errorf("%w: off=%d n=%d cap=%d", ErrOutOfRange, off, n, g.Capacity)
 	}
 	if align > 1 && (off%int64(align) != 0 || n%int64(align) != 0) {

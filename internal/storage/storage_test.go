@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -52,6 +54,13 @@ func TestCheckRange(t *testing.T) {
 	}
 	if err := CheckRange(g, 100, 10, 1); err != nil {
 		t.Fatalf("align=1 should accept byte granularity: %v", err)
+	}
+	// The first two overflow off+n in int64 and the last starts past the
+	// end: all three are out of range.
+	for _, r := range [][2]int64{{4096, math.MaxInt64 - 100}, {math.MaxInt64 - 10, 4096}, {8192, 0}} {
+		if err := CheckRange(g, r[0], r[1], 0); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("CheckRange(off=%d, n=%d) = %v, want ErrOutOfRange", r[0], r[1], err)
+		}
 	}
 }
 
